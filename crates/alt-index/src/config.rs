@@ -8,7 +8,10 @@ use std::time::Duration;
 pub enum RetrainMode {
     /// Retrain on the inserting thread, inside the insert call — the
     /// paper's original behaviour, and the A/B baseline for the
-    /// background scheduler.
+    /// background scheduler. The rebuild is the same two-phase
+    /// collect → off-lock build → reconcile → swap the workers run, so
+    /// other writers to the span stall only for the two short collect
+    /// windows; the inserting thread pays for the build.
     Inline,
     /// Inserting threads only *enqueue* a prioritized retrain request;
     /// a budgeted worker pool (see [`BgRetrainPolicy`]) performs the
@@ -82,12 +85,6 @@ pub struct AltConfig {
     pub retrain_mode: RetrainMode,
     /// Worker-pool budget for [`RetrainMode::Background`].
     pub bg_retrain: BgRetrainPolicy,
-    /// Adapt each retrain's ε and gap-expansion factor to the error
-    /// distribution observed at collect time (endpoint-fit rank errors
-    /// and the span's overflow share) instead of reusing the bulk-load ε
-    /// and unconditionally doubling the gap budget. On by default; turn
-    /// off to reproduce the fixed-knob behaviour.
-    pub adaptive_retrain: bool,
     /// Enable opportunistic write-back of ART entries into tombstoned GPL
     /// slots during reads (Algorithm 2 lines 10-13).
     pub write_back: bool,
@@ -140,7 +137,6 @@ impl Default for AltConfig {
             retrain: true,
             retrain_mode: RetrainMode::Inline,
             bg_retrain: BgRetrainPolicy::default(),
-            adaptive_retrain: true,
             write_back: true,
             build_threads: default_build_threads(),
             contention: resilience::global(),

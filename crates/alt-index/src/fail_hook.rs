@@ -7,9 +7,9 @@
 //!
 //! | site                | where                         | channel |
 //! |---------------------|-------------------------------|---------|
-//! | `retrain.collect`   | span snapshot (both paths)    | panic/delay |
+//! | `retrain.collect`   | phase-1 span snapshot         | panic/delay |
 //! | `retrain.build`     | GPL re-segmentation           | panic/error/alloc-fail (clean abort) |
-//! | `retrain.reconcile` | background phase-2 delta      | panic/error/alloc-fail (clean abort) |
+//! | `retrain.reconcile` | phase-2 delta, both modes     | panic/error/alloc-fail (clean abort) |
 //! | `retrain.swap`      | post-RCU-swap, pre-retire     | panic/delay (publish guard covers it) |
 //! | `retrain.absorb`    | post-swap ART absorption      | panic/delay |
 //! | `sched.enqueue`     | scheduler admission           | panic/error (request shed) |

@@ -422,12 +422,19 @@ impl AltCore {
     /// publishing (see `insert`), so a slot-or-ART miss observed under
     /// it is conclusive without any version re-validation.
     ///
-    /// Lock order is `dir_lock` → slot lock → ART node locks, the same
-    /// global order every other path uses (retrain: `dir_lock` →
-    /// `op_lock.write` → slot reads; slot writers: `op_lock.read` → slot
-    /// lock → ART). `maybe_retrain` only `try_lock`s `dir_lock`, so an
-    /// escalated op can never deadlock a retrain trigger — it just shows
-    /// up as `RetrainSkippedBusy`.
+    /// Lock order is `dir_lock` → `op_lock` → slot lock → ART node
+    /// locks, the same global order every path uses (rebuild: `dir_lock`
+    /// → `op_lock.write` → slot reads; escalated writers: `dir_lock` →
+    /// `op_lock.read` → slot lock → ART; optimistic writers:
+    /// `op_lock.read` → slot lock → ART). No thread blocks on `dir_lock`
+    /// while holding an `op_lock` read guard: the optimistic writers
+    /// release theirs before escalating. That matters because a rebuild
+    /// holds `dir_lock` across its off-lock build and then waits for the
+    /// `op_lock` write side — a writer parked on `dir_lock` with the read
+    /// side held would stall it forever. `maybe_retrain` only
+    /// `try_lock`s `dir_lock`, so an escalated op can never deadlock a
+    /// retrain trigger either — it just shows up as
+    /// `RetrainSkippedBusy`.
     pub(crate) fn get_pessimistic(&self, key: u64) -> Option<u64> {
         let _dl = self.dir_lock.lock();
         let guard = epoch::pin();
@@ -482,16 +489,17 @@ impl AltCore {
             let guard = epoch::pin();
             let dir = self.dir_ref(&guard);
             let m = dir.model_for(key);
-            let _rl = m.op_lock.read();
-            if m.is_retired() {
-                // The only retry source here is retrain churn: escalating
-                // under `dir_lock` stops it.
-                if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
-                    break self.insert_pessimistic(key, value, &mut want_retrain);
-                }
-                continue;
+            let rl = m.op_lock.read();
+            if !m.is_retired() {
+                break self.place(dir, m, key, value, &mut want_retrain);
             }
-            break self.place(dir, m, key, value, &mut want_retrain);
+            // The only retry source here is retrain churn: escalating
+            // under `dir_lock` stops it. Release the op lock first —
+            // see `get_pessimistic` for the lock order.
+            drop(rl);
+            if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
+                break self.insert_pessimistic(key, value, &mut want_retrain);
+            }
         };
         if res.is_ok() {
             self.len.fetch_add(1, Ordering::Relaxed);
@@ -604,10 +612,13 @@ impl AltCore {
         }
         let guard = epoch::pin();
         let mut retry = crate::contention::Retry::seeded(key);
+        // Escalation leaves the loop (dropping the iteration's op-lock
+        // read guard) before blocking on `dir_lock`: see
+        // `get_pessimistic` for the lock order.
         macro_rules! retry_or_escalate {
             () => {
                 if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
-                    return self.update_pessimistic(key, value);
+                    break;
                 }
                 continue;
             };
@@ -650,6 +661,7 @@ impl AltCore {
                 }
             }
         }
+        self.update_pessimistic(key, value)
     }
 
     /// Escalated update: `dir_lock` freezes the directory, the predicted
@@ -694,10 +706,13 @@ impl AltCore {
         }
         let guard = epoch::pin();
         let mut retry = crate::contention::Retry::seeded(key);
+        // Escalation leaves the loop (dropping the iteration's op-lock
+        // read guard) before blocking on `dir_lock`: see
+        // `get_pessimistic` for the lock order.
         macro_rules! retry_or_escalate {
             () => {
                 if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
-                    return self.remove_pessimistic(key);
+                    break;
                 }
                 continue;
             };
@@ -763,6 +778,7 @@ impl AltCore {
                 },
             }
         }
+        self.remove_pessimistic(key)
     }
 
     /// Escalated remove: one conclusive pass under `dir_lock` + the

@@ -3,12 +3,16 @@
 //!
 //! When a model's overflow inserts exceed its build size, the span is
 //! rebuilt: live slot entries are merged with the span's ART residents,
-//! re-segmented with GPL at a doubled gap budget (the paper's "temporal
-//! buffer twice larger / doubled train slope"), and the fresh model(s)
-//! are swapped into the directory RCU-style. ART keys absorbed by the new
-//! slots are then deleted from ART; keys that still conflict stay there.
-//! If the retrained model was the last one, re-segmentation naturally
-//! grows new tail models for out-of-range insertions.
+//! re-segmented with GPL at a gap budget and ε planned from the observed
+//! data (`adapt.rs`), and the fresh model(s) are swapped into the
+//! directory RCU-style. ART keys absorbed by the new slots are then
+//! deleted from ART; keys that still conflict stay there. If the
+//! retrained model was the last one, re-segmentation naturally grows new
+//! tail models for out-of-range insertions.
+//!
+//! There is one, two-phase rebuild (`AltCore::rebuild`). Inline mode runs
+//! it on the inserting thread and background mode on a worker; the modes
+//! differ only in how they take `dir_lock`.
 
 use crate::adapt::plan_retrain;
 use crate::index::{segment_and_build, AltCore};
@@ -16,17 +20,17 @@ use crate::model::{GplModel, NO_FAST};
 use crate::sched::SchedShared;
 use crate::slots::SlotState;
 use crossbeam_epoch as epoch;
+use parking_lot::MutexGuard;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// One span's data captured under the model's write lock: live slot
-/// entries, the span's ART residents, and their merge (slot copy wins
-/// on the rare double-presence — write-back deletes the ART copy on
-/// sight anyway). All three are key-sorted.
+/// One span's data captured under the model's write lock: the span's
+/// ART residents, and their merge with the live slot entries (slot copy
+/// wins on the rare double-presence — write-back deletes the ART copy
+/// on sight anyway). Both are key-sorted.
 struct SpanSnapshot {
-    slot_pairs: Vec<(u64, u64)>,
     art_pairs: Vec<(u64, u64)>,
     merged: Vec<(u64, u64)>,
 }
@@ -153,179 +157,42 @@ impl AltCore {
         let mut art_pairs: Vec<(u64, u64)> = Vec::new();
         self.art.range(lo, hi, &mut art_pairs);
         let merged = merge_pairs(&slot_pairs, &art_pairs);
-        SpanSnapshot {
-            slot_pairs,
-            art_pairs,
-            merged,
-        }
+        SpanSnapshot { art_pairs, merged }
     }
 
-    /// Attempt to retrain the model covering `key_hint`. Quietly returns
-    /// if another structural change is in flight or the model no longer
-    /// wants retraining.
+    /// Inline retrain of the model covering `key_hint`, run on the
+    /// inserting thread (inline mode and the degraded-mode fallback).
+    /// Quietly returns if another structural change is in flight: the
+    /// `try_lock` means an escalated op holding `dir_lock` can never
+    /// deadlock a retrain trigger, and the next overflow insert retries.
     pub(crate) fn maybe_retrain(&self, key_hint: u64) {
         if !self.cfg.retrain {
             return;
         }
-        // One structural change at a time; droppers just skip (the next
-        // overflow insert will retry).
-        let Some(_dl) = self.dir_lock.try_lock() else {
+        let Some(dl) = self.dir_lock.try_lock() else {
             crate::metrics_hook::retrain_skipped_busy();
             return;
         };
-        let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
-        let mi = dir.locate(key_hint);
-        let m = &dir.models[mi];
-        if m.is_retired() || !m.wants_retrain() {
-            return;
-        }
-        self.retrain_attempts.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_attempt();
-
-        // Block writers to this model for the copy phase; readers stay
-        // lock-free and are redirected by the `retired` flag afterwards.
-        let _wl = m.op_lock.write();
-        let t_collect = crate::metrics_hook::now_ns();
-
-        // Failpoint inside the write-locked section: an injected panic
-        // here unwinds through `_wl` and `_dl` (both RAII-released) and
-        // is contained by `trigger_retrain`; no state has changed yet.
-        crate::fail_hook::point("retrain.collect");
-        let snap = self.collect_span(dir, mi, m);
-        let SpanSnapshot {
-            slot_pairs,
-            art_pairs,
-            merged,
-        } = snap;
-        crate::metrics_hook::retrain_collect_done(t_collect);
-        if merged.is_empty() {
-            // Everything in the span was removed; nothing to refactor.
-            // The overflow inserts that tripped the trigger are gone with
-            // the rest of the span, so reset the accounting — leaving it
-            // high would keep `wants_retrain()` true and send every later
-            // overflow insert straight back here for another futile
-            // collect-and-bail pass.
-            m.art_inserts.store(0, Ordering::Relaxed);
-            crate::metrics_hook::retrain_empty_span();
-            return;
-        }
-
-        let t_build = crate::metrics_hook::now_ns();
-        // Fallible build: an injected Error/AllocFail (or, one day, a
-        // real fallible-allocation failure) aborts the retrain cleanly
-        // before anything shared is touched. `art_inserts` is left high
-        // on purpose — the next overflow insert retries (self-healing).
-        if crate::fail_hook::should_fail("retrain.build") {
-            self.count_rollback();
-            return;
-        }
-        let plan = plan_retrain(
-            &merged,
-            art_pairs.len(),
-            self.epsilon,
-            m.expansions,
-            self.cfg.adaptive_retrain,
-        );
-        let (models, conflicts) = segment_and_build(
-            &merged,
-            plan.epsilon,
-            self.cfg.gap_factor,
-            plan.expansions,
-            Some(m.first_key),
-        );
-
-        // Conflict keys that came from the learned layer must move down
-        // to ART before the swap so no reader window misses them.
-        {
-            let mut ci = 0usize;
-            for &(k, v) in &slot_pairs {
-                while ci < conflicts.len() && conflicts[ci].0 < k {
-                    ci += 1;
-                }
-                if ci < conflicts.len() && conflicts[ci].0 == k {
-                    self.art.upsert(k, v);
-                }
-            }
-        }
-
-        // Register fast pointers for the new models (reusing entries via
-        // the merge scheme).
-        if self.cfg.fast_pointers {
-            let next_after = dir.upper_bound(mi);
-            for (i, nm) in models.iter().enumerate() {
-                let upper = models.get(i + 1).map(|n| n.first_key).or(next_after);
-                let slot = match upper {
-                    Some(u) => self.buffer.register(&self.art, nm.first_key, u),
-                    None => NO_FAST,
-                };
-                nm.fast_slot.store(slot, Ordering::Release);
-            }
-        }
-
-        crate::metrics_hook::retrain_build_done(t_build);
-        let t_swap = crate::metrics_hook::now_ns();
-
-        // Publish the new directory and retire the old snapshot. The
-        // epoch bump must precede the swap: scans that saw the old epoch
-        // and miss this swap will re-read it, notice the change, and
-        // retry instead of mixing an old slot walk with a post-absorb
-        // ART view.
-        let new_dir = dir.replace(mi, models);
-        self.dir_epoch.fetch_add(1, Ordering::Release);
-        crate::chaos_hook::point("retrain.pre_swap");
-        let old = self
-            .dir
-            .swap(epoch::Owned::new(new_dir), Ordering::AcqRel, &guard);
-        // The new directory is now published: from here the old model
-        // MUST end up retired even if we unwind, or readers that cached
-        // it would keep serving replaced slots while writers target the
-        // new ones. The guard stores `retired` on drop (armed only
-        // after the swap — see its doc comment).
-        let retire_guard = RetireOnDrop(m);
-        // SAFETY: `old` was just unlinked under `dir_lock`; readers still
-        // holding it are protected by their epoch pins.
-        unsafe { guard.defer_destroy(old) };
-        // Widen the window between directory publication and the retired
-        // flag — readers caught here must still find every key.
-        crate::chaos_hook::point("retrain.post_swap");
-        crate::fail_hook::point("retrain.swap");
-        drop(retire_guard);
-        crate::metrics_hook::retrain_swap_done(t_swap);
-        let t_cleanup = crate::metrics_hook::now_ns();
-
-        // Remove the ART keys the new slots absorbed (everything in the
-        // span except the still-conflicting ones). Readers racing these
-        // deletes see `retired` and retry against the new directory. A
-        // panic mid-pass leaves the remaining keys present in *both*
-        // layers — benign double presence the op paths already handle
-        // (the slot copy wins and the values are equal; the next retrain
-        // of the span merges them away).
-        {
-            let mut ci = 0usize;
-            for &(k, _) in &art_pairs {
-                while ci < conflicts.len() && conflicts[ci].0 < k {
-                    ci += 1;
-                }
-                let still_conflicts = ci < conflicts.len() && conflicts[ci].0 == k;
-                if !still_conflicts {
-                    crate::chaos_hook::point("retrain.absorb_remove");
-                    crate::fail_hook::point("retrain.absorb");
-                    self.art.remove(k);
-                }
-            }
-        }
-        crate::metrics_hook::retrain_cleanup_done(t_cleanup);
-        self.retrains.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_completed();
+        self.rebuild(&dl, key_hint);
     }
 
-    /// Two-phase retrain run by a background worker (§III-F moved off
-    /// the hot path).
-    ///
-    /// The inline path holds the model's `op_lock` write side across
-    /// collect *and* build, so writers to the span stall for the whole
-    /// GPL re-segmentation. Here the write lock is taken twice, briefly:
+    /// Background retrain of the model covering `key_hint`, run by a
+    /// worker. Blocking on `dir_lock` (not `try_lock`) is fine off the
+    /// hot path and means a drained request is never silently lost to a
+    /// racing escalation.
+    pub(crate) fn retrain_background(&self, key_hint: u64) {
+        if !self.cfg.retrain {
+            return;
+        }
+        let dl = self.dir_lock.lock();
+        self.rebuild(&dl, key_hint);
+    }
+
+    /// The two-phase rebuild (§III-F) of the model covering `key_hint`.
+    /// Taking the `dir_lock` guard proves the caller holds it; it
+    /// freezes the directory and serializes structural changes for the
+    /// whole run. The model's `op_lock` write side is taken twice,
+    /// briefly:
     ///
     /// 1. **Collect** — snapshot the span (slots + ART range), then
     ///    release the write lock. Writers resume against the *old*
@@ -333,30 +200,14 @@ impl AltCore {
     /// 2. **Reconcile + publish** — re-take the write lock, re-collect,
     ///    and diff the two snapshots: every key inserted, updated, or
     ///    removed during the build is applied to the still-private new
-    ///    models (or to the conflict set). Then the usual publish
-    ///    sequence runs: conflicts into ART, fast pointers, epoch bump,
-    ///    RCU swap, retire, absorb.
+    ///    models (or to the conflict set). Then conflicts go into ART,
+    ///    fast pointers are registered, the directory epoch is bumped,
+    ///    the directory is RCU-swapped, the old model retired, and the
+    ///    absorbed ART keys removed.
     ///
-    /// The swap is race-free off-thread for the same reasons it is
-    /// inline: `dir_lock` (held throughout) freezes the directory and
-    /// serializes structural changes; both collect windows run under
-    /// the model's write lock, so each snapshot is a quiesced image of
-    /// the span; and the epoch bump before the swap sends concurrent
-    /// scans into their re-read loop exactly as an inline retrain
-    /// would. Readers never block: they follow `retired` to the new
-    /// directory once published. The one new obligation is that the
-    /// delta application preserves the reader invariant "an ART-
-    /// resident key's predicted slot is never Empty" — it does, because
-    /// delta-removes leave tombstones (not empties) and delta-conflicts
-    /// point at occupied slots.
-    pub(crate) fn retrain_background(&self, key_hint: u64) {
-        if !self.cfg.retrain {
-            return;
-        }
-        // Workers serialize on `dir_lock` like every structural change;
-        // blocking (not `try_lock`) is fine off the hot path and means a
-        // drained request is never silently lost to a racing escalation.
-        let _dl = self.dir_lock.lock();
+    /// Readers never block: they follow `retired` to the new directory
+    /// once published. Why the off-lock build is race-free: DESIGN.md §14.
+    fn rebuild(&self, _dl: &MutexGuard<'_, ()>, key_hint: u64) {
         let guard = epoch::pin();
         let dir = self.dir_ref(&guard);
         let mi = dir.locate(key_hint);
@@ -372,14 +223,20 @@ impl AltCore {
         let t_collect = crate::metrics_hook::now_ns();
         let before = {
             let _wl = m.op_lock.write();
-            // Injected panic: unwinds through `_wl`/`_dl` (RAII) into
-            // the worker's `catch_unwind`; nothing has changed yet.
+            // Injected panic: unwinds through `_wl` and the caller's
+            // `dir_lock` guard (both RAII-released) into the caller's
+            // `catch_unwind`; nothing has changed yet.
             crate::fail_hook::point("retrain.collect");
             self.collect_span(dir, mi, m)
         };
         crate::metrics_hook::retrain_collect_done(t_collect);
         if before.merged.is_empty() {
-            // As in the inline path: span emptied, reset the trigger.
+            // Everything in the span was removed; nothing to refactor.
+            // The overflow inserts that tripped the trigger are gone with
+            // the rest of the span, so reset the accounting — leaving it
+            // high would keep `wants_retrain()` true and send every later
+            // overflow insert straight back here for another futile
+            // collect-and-bail pass.
             m.art_inserts.store(0, Ordering::Relaxed);
             crate::metrics_hook::retrain_empty_span();
             return;
@@ -388,8 +245,10 @@ impl AltCore {
         // Build off the write lock: concurrent inserts/updates/removes
         // proceed against the old layout and are reconciled below.
         let t_build = crate::metrics_hook::now_ns();
-        // Fallible build, as in the inline path: clean abort, trigger
-        // accounting left high so the next overflow insert retries.
+        // Fallible build: an injected Error/AllocFail (or, one day, a
+        // real fallible-allocation failure) aborts the retrain cleanly
+        // before anything shared is touched. `art_inserts` is left high
+        // on purpose — the next overflow insert retries (self-healing).
         if crate::fail_hook::should_fail("retrain.build") {
             self.count_rollback();
             return;
@@ -399,7 +258,6 @@ impl AltCore {
             before.art_pairs.len(),
             self.epsilon,
             m.expansions,
-            self.cfg.adaptive_retrain,
         );
         let (models, conflicts) = segment_and_build(
             &before.merged,
@@ -435,8 +293,8 @@ impl AltCore {
             self.art.upsert(k, v);
         }
 
-        // Fast pointers for the new models (reusing entries via the
-        // merge scheme), exactly as inline.
+        // Register fast pointers for the new models (reusing entries via
+        // the merge scheme).
         if self.cfg.fast_pointers {
             let next_after = dir.upper_bound(mi);
             for (i, nm) in models.iter().enumerate() {
@@ -449,20 +307,29 @@ impl AltCore {
             }
         }
 
+        // Publish the new directory and retire the old snapshot. The
+        // epoch bump must precede the swap: scans that saw the old epoch
+        // and miss this swap will re-read it, notice the change, and
+        // retry instead of mixing an old slot walk with a post-absorb
+        // ART view.
         let t_swap = crate::metrics_hook::now_ns();
         let new_dir = dir.replace(mi, models);
         self.dir_epoch.fetch_add(1, Ordering::Release);
-        crate::chaos_hook::point("retrain.bg.swap");
         crate::chaos_hook::point("retrain.pre_swap");
         let old = self
             .dir
             .swap(epoch::Owned::new(new_dir), Ordering::AcqRel, &guard);
-        // Publish-completion guard, as in the inline path: armed only
-        // after the swap, stores `retired` even on unwind.
+        // The new directory is now published: from here the old model
+        // MUST end up retired even if we unwind, or readers that cached
+        // it would keep serving replaced slots while writers target the
+        // new ones. The guard stores `retired` on drop (armed only
+        // after the swap — see its doc comment).
         let retire_guard = RetireOnDrop(m);
         // SAFETY: `old` was just unlinked under `dir_lock`; readers still
         // holding it are protected by their epoch pins.
         unsafe { guard.defer_destroy(old) };
+        // Widen the window between directory publication and the retired
+        // flag — readers caught here must still find every key.
         crate::chaos_hook::point("retrain.post_swap");
         crate::fail_hook::point("retrain.swap");
         drop(retire_guard);
@@ -471,8 +338,12 @@ impl AltCore {
 
         // Absorb pass over the *phase-2* ART snapshot: every span key
         // still in ART that the new slots absorbed gets deleted; the
-        // still-conflicting ones stay. A panic mid-pass leaves benign
-        // double presence, exactly as inline.
+        // still-conflicting ones stay. Readers racing these deletes see
+        // `retired` and retry against the new directory. A panic
+        // mid-pass leaves the remaining keys present in *both* layers —
+        // benign double presence the op paths already handle (the slot
+        // copy wins and the values are equal; the next retrain of the
+        // span merges them away).
         for &(k, _) in &after.art_pairs {
             if !conflict_map.contains_key(&k) {
                 crate::chaos_hook::point("retrain.absorb_remove");
@@ -501,7 +372,8 @@ fn locate_new_model(models: &[Arc<GplModel>], key: u64) -> &GplModel {
 /// * A key added or revalued during the build is placed at its
 ///   predicted slot (installing over Empty/Tombstone, revaluing a same-
 ///   key resident) or, if the slot holds another key, recorded in
-///   `conflict_map` for the pre-swap ART upsert.
+///   `conflict_map` for the pre-swap ART upsert and counted in its new
+///   model's `art_inserts`.
 /// * A key removed during the build is dropped from `conflict_map` or
 ///   tombstoned out of its predicted slot.
 ///
@@ -525,6 +397,10 @@ fn apply_delta(
             SlotState::Empty | SlotState::Tombstone => g.install(k, v),
             SlotState::Occupied { .. } => {
                 conflict_map.insert(k, v);
+                // Had it arrived after the swap, this insert would have
+                // overflowed into ART through `place` and counted
+                // toward the retrain trigger; count it the same way.
+                m.art_inserts.fetch_add(1, Ordering::Relaxed);
             }
         });
     };
@@ -612,31 +488,69 @@ mod tests {
     }
 
     #[test]
+    fn delta_conflicts_count_toward_the_new_models_trigger() {
+        // Keys appended past the span during the build predict the last
+        // slot, which the build already filled: each becomes a conflict
+        // and counts as an overflow insert, as it would after the swap.
+        let before: Vec<(u64, u64)> = (1..=200u64).map(|i| (i * 10, i)).collect();
+        let (models, conflicts) = segment_and_build(&before, 16.0, 1.25, 0, Some(10));
+        let mut conflict_map: BTreeMap<u64, u64> = conflicts.into_iter().collect();
+        let overflow = || -> usize {
+            models
+                .iter()
+                .map(|m| m.art_inserts.load(Ordering::Relaxed))
+                .sum()
+        };
+        let (built, pre) = (conflict_map.len(), overflow());
+        let appended: Vec<(u64, u64)> = (1..=50u64).map(|i| (1_000_000 + i, i)).collect();
+        apply_delta(
+            &models,
+            &before,
+            &merge_pairs(&before, &appended),
+            &mut conflict_map,
+        );
+        let added = conflict_map.len() - built;
+        assert!(added > 0, "appends past the span must conflict");
+        assert_eq!(
+            overflow() - pre,
+            added,
+            "every delta conflict is counted once"
+        );
+    }
+
+    #[test]
     fn hot_insert_burst_triggers_retrain_and_keeps_all_keys() {
         // Small bulk load, then a dense burst into one region — the
-        // paper's hot-write scenario.
-        let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
-        let idx = AltIndex::bulk_load_with(
-            &pairs,
-            AltConfig {
-                epsilon: Some(64.0),
-                ..Default::default()
-            },
-        );
-        // Burst: ~20k consecutive keys inside one model's span (skipping
-        // the multiples of 1000 that exist from the bulk load).
-        let burst: Vec<u64> = (500_001..=520_000u64).filter(|k| k % 1000 != 0).collect();
-        for &k in &burst {
-            idx.insert(k, k).unwrap();
+        // paper's hot-write scenario — retrained by the inserting thread
+        // (inline) or by the worker pool (background; the inserting
+        // thread only enqueues).
+        for cfg in [AltConfig::default(), AltConfig::background()] {
+            let mode = cfg.retrain_mode;
+            let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
+            let idx = AltIndex::bulk_load_with(
+                &pairs,
+                AltConfig {
+                    epsilon: Some(64.0),
+                    ..cfg
+                },
+            );
+            // Burst: ~20k consecutive keys inside one model's span
+            // (skipping the multiples of 1000 that exist from the bulk
+            // load).
+            let burst: Vec<u64> = (500_001..=520_000u64).filter(|k| k % 1000 != 0).collect();
+            for &k in &burst {
+                idx.insert(k, k).unwrap();
+            }
+            idx.retrain_quiesce();
+            assert!(idx.retrain_count() > 0, "{mode:?}: burst must retrain");
+            for &k in &burst {
+                assert_eq!(idx.get(k), Some(k), "{mode:?}: hot key {k}");
+            }
+            for &(k, v) in &pairs {
+                assert_eq!(idx.get(k), Some(v), "{mode:?}: bulk key {k}");
+            }
+            assert_eq!(idx.len(), 2_000 + burst.len(), "{mode:?}");
         }
-        assert!(idx.retrain_count() > 0, "burst must trigger retraining");
-        for &k in &burst {
-            assert_eq!(idx.get(k), Some(k), "hot key {k}");
-        }
-        for &(k, v) in &pairs {
-            assert_eq!(idx.get(k), Some(v), "bulk key {k}");
-        }
-        assert_eq!(idx.len(), 2_000 + burst.len());
     }
 
     #[test]
@@ -788,87 +702,60 @@ mod tests {
     }
 
     #[test]
-    fn background_burst_retrains_off_hot_path() {
-        // Same hot-write burst as the inline test, but in Background
-        // mode: the inserting thread only enqueues; the worker pool does
-        // the two-phase rebuild. After quiesce, retrains happened and
-        // every key is intact.
-        let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
-        let idx = AltIndex::bulk_load_with(
-            &pairs,
-            AltConfig {
-                epsilon: Some(64.0),
-                ..AltConfig::background()
-            },
-        );
-        let burst: Vec<u64> = (500_001..=520_000u64).filter(|k| k % 1000 != 0).collect();
-        for &k in &burst {
-            idx.insert(k, k).unwrap();
-        }
-        idx.retrain_quiesce();
-        assert!(
-            idx.retrain_count() > 0,
-            "background workers must have retrained the hot span"
-        );
-        for &k in &burst {
-            assert_eq!(idx.get(k), Some(k), "hot key {k}");
-        }
-        for &(k, v) in &pairs {
-            assert_eq!(idx.get(k), Some(v), "bulk key {k}");
-        }
-        assert_eq!(idx.len(), 2_000 + burst.len());
-    }
-
-    #[test]
-    fn background_concurrent_mutations_during_rebuild_are_kept() {
-        // Writers keep inserting/removing while the worker rebuilds the
-        // same span off-lock — the phase-2 reconcile must fold every
-        // concurrent change into the swapped-in models.
-        let pairs: Vec<(u64, u64)> = (1..=500u64).map(|i| (i * 10_000, i)).collect();
-        let idx = Arc::new(AltIndex::bulk_load_with(
-            &pairs,
-            AltConfig {
-                epsilon: Some(32.0),
-                ..AltConfig::background()
-            },
-        ));
-        let threads = 4u64;
-        let per = 6_000u64;
-        let mut hs = Vec::new();
-        for t in 0..threads {
-            let idx = Arc::clone(&idx);
-            hs.push(std::thread::spawn(move || {
-                let base = 1_000_001 + t * per * 2;
+    fn concurrent_mutations_during_rebuild_are_kept() {
+        // Writers keep inserting/removing while the same span is rebuilt
+        // off-lock — by another inserting thread (inline) or by a worker
+        // (background). The phase-2 reconcile must fold every concurrent
+        // change into the swapped-in models.
+        for cfg in [AltConfig::default(), AltConfig::background()] {
+            let mode = cfg.retrain_mode;
+            let pairs: Vec<(u64, u64)> = (1..=500u64).map(|i| (i * 10_000, i)).collect();
+            let idx = Arc::new(AltIndex::bulk_load_with(
+                &pairs,
+                AltConfig {
+                    epsilon: Some(32.0),
+                    ..cfg
+                },
+            ));
+            let threads = 4u64;
+            let per = 6_000u64;
+            let mut hs = Vec::new();
+            for t in 0..threads {
+                let idx = Arc::clone(&idx);
+                hs.push(std::thread::spawn(move || {
+                    let base = 1_000_001 + t * per * 2;
+                    for i in 0..per {
+                        let k = base + i * 2;
+                        idx.insert(k, k).unwrap();
+                        // Churn: remove every fourth key again right
+                        // away, racing any in-progress rebuild.
+                        if i % 4 == 3 {
+                            assert_eq!(idx.remove(k), Some(k), "{mode:?}: own remove {k}");
+                        } else {
+                            assert_eq!(idx.get(k), Some(k), "{mode:?}: own write {k}");
+                        }
+                    }
+                }));
+            }
+            for h in hs {
+                h.join().unwrap();
+            }
+            idx.retrain_quiesce();
+            assert!(idx.retrain_count() > 0, "{mode:?}: no rebuild ran");
+            let mut live = 0usize;
+            for t in 0..threads {
                 for i in 0..per {
-                    let k = base + i * 2;
-                    idx.insert(k, k).unwrap();
-                    // Churn: remove every fourth key again right away,
-                    // racing any in-progress background rebuild.
+                    let k = 1_000_001 + t * per * 2 + i * 2;
                     if i % 4 == 3 {
-                        assert_eq!(idx.remove(k), Some(k), "own remove {k}");
+                        assert_eq!(idx.get(k), None, "{mode:?}: removed key {k} resurfaced");
                     } else {
-                        assert_eq!(idx.get(k), Some(k), "own write {k}");
+                        assert_eq!(idx.get(k), Some(k), "{mode:?}: lost concurrent insert {k}");
+                        live += 1;
                     }
                 }
-            }));
-        }
-        for h in hs {
-            h.join().unwrap();
-        }
-        idx.retrain_quiesce();
-        let mut live = 0usize;
-        for t in 0..threads {
-            for i in 0..per {
-                let k = 1_000_001 + t * per * 2 + i * 2;
-                if i % 4 == 3 {
-                    assert_eq!(idx.get(k), None, "removed key {k} resurfaced");
-                } else {
-                    assert_eq!(idx.get(k), Some(k), "lost concurrent insert {k}");
-                    live += 1;
-                }
             }
+            assert_eq!(idx.len(), 500 + live, "{mode:?}");
         }
-        assert_eq!(idx.len(), 500 + live);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! `obs` counters record, when the `metrics` feature is on) and returns.
 //! Workers pop the highest-pressure span first, FIFO among ties, and
 //! run [`AltCore::retrain_background`](crate::index::AltCore) —
-//! the two-phase variant whose build runs *outside* the model's write
-//! lock (see `retrain.rs`).
+//! the same two-phase rebuild inline mode runs, with its build outside
+//! the model's write lock (see `retrain.rs`), but acquiring `dir_lock`
+//! with a blocking `lock` instead of `try_lock`.
 //!
 //! Budgeting follows the resilience crate's tiered-policy style: the
 //! queue is bounded (excess requests are shed — the next overflow

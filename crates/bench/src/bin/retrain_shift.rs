@@ -14,8 +14,11 @@
 //!
 //! * one summary row per (workload, mode): overall `mops`, with
 //!   `value`/`metric` rows for total retrains, the min/median bucket
-//!   throughput ratio (1.0 = perfectly flat, lower = deeper stall), and
-//!   the always-on fault/self-healing counters (`retrain_bg_dropped`,
+//!   throughput ratio (1.0 = perfectly flat, lower = deeper stall), the
+//!   post-run end state (`art_share` = share of keys left in ART,
+//!   `get_ns` = mean single-threaded point-read latency over the stored
+//!   keys, `bytes_per_key`), and the always-on fault/self-healing
+//!   counters (`retrain_bg_dropped`,
 //!   `retrain_bg_panics`, `worker_respawns`, `degraded_mode_entries`,
 //!   `retrain_rollbacks` — nonzero only when the queue sheds or the
 //!   `fault` feature injects failures);
@@ -59,12 +62,42 @@ fn stall_ratio(r: &TimedResult) -> f64 {
     m.iter().copied().fold(f64::INFINITY, f64::min) / med
 }
 
+/// The index's state after a run: where the keys ended up and what a
+/// point read costs there.
+struct EndState {
+    /// Share of live keys resident in ART rather than GPL slots.
+    art_share: f64,
+    /// Mean single-threaded `get` latency over the stored keys.
+    get_ns: f64,
+    /// Resident bytes per stored key.
+    bytes_per_key: f64,
+}
+
+fn end_state(idx: &alt_index::AltIndex) -> EndState {
+    let st = idx.stats();
+    let mut pairs = Vec::new();
+    idx.range(1, u64::MAX, &mut pairs);
+    // A strided sample of at most ~100k keys keeps the probe short.
+    let step = (pairs.len() / 100_000).max(1);
+    let keys: Vec<u64> = pairs.iter().step_by(step).map(|p| p.0).collect();
+    let t = std::time::Instant::now();
+    for &k in &keys {
+        assert!(idx.get(k).is_some(), "stored key {k} must be readable");
+    }
+    let get_ns = t.elapsed().as_nanos() as f64 / keys.len().max(1) as f64;
+    EndState {
+        art_share: 1.0 - st.learned_share(),
+        get_ns,
+        bytes_per_key: idx.memory_usage() as f64 / pairs.len().max(1) as f64,
+    }
+}
+
 fn run_mode(
     label: &str,
     background: bool,
     plan: &ShiftPlan,
     args: &Args,
-) -> (TimedResult, usize, usize, alt_index::FaultStats) {
+) -> (TimedResult, usize, usize, alt_index::FaultStats, EndState) {
     let cfg = if background {
         alt_index::AltConfig::background()
     } else {
@@ -81,7 +114,14 @@ fn run_mode(
     idx.retrain_quiesce();
     assert_eq!(r.failed_inserts, 0, "{label}: shift streams are disjoint");
     let faults = idx.fault_stats();
-    (r, idx.retrain_count(), ConcurrentIndex::len(&*idx), faults)
+    let end = end_state(&idx);
+    (
+        r,
+        idx.retrain_count(),
+        ConcurrentIndex::len(&*idx),
+        faults,
+        end,
+    )
 }
 
 fn main() {
@@ -107,7 +147,7 @@ fn main() {
             if !args.wants_index(label) {
                 continue;
             }
-            let (r, retrains, len, faults) = run_mode(label, background, &plan, &args);
+            let (r, retrains, len, faults, end) = run_mode(label, background, &plan, &args);
             lens.push((label, len));
             Row::new("retrain_shift")
                 .index(label)
@@ -122,9 +162,13 @@ fn main() {
                 .workload("summary")
                 .value("retrains", retrains as f64)
                 .emit();
-            // Fault/self-healing counters (always-on; nonzero only when
-            // the queue sheds or the `fault` feature injects failures).
+            // End state, then the fault/self-healing counters
+            // (always-on; nonzero only when the queue sheds or the
+            // `fault` feature injects failures).
             for (metric, v) in [
+                ("art_share", end.art_share),
+                ("get_ns", end.get_ns),
+                ("bytes_per_key", end.bytes_per_key),
                 ("retrain_bg_dropped", faults.bg_dropped as f64),
                 ("retrain_bg_panics", faults.bg_panics as f64),
                 ("worker_respawns", faults.worker_respawns as f64),

@@ -105,10 +105,10 @@ fn chaos_alt_index_parallel_built() {
 /// worker pool's two-phase rebuild (enqueue → off-lock build →
 /// reconcile → swap) races the oracle's concurrent
 /// insert/update/remove/scan threads. With `--features chaos` the
-/// `retrain.bg.{enqueue,drain,swap}` points inject seeded delays into
-/// exactly those windows. Tight ε makes overflow (and therefore
-/// retraining) frequent; quiescing before the final check ensures the
-/// oracle also sees the post-rebuild state.
+/// `retrain.bg.{enqueue,drain}` and `retrain.pre_swap` points inject
+/// seeded delays into exactly those windows. Tight ε makes overflow
+/// (and therefore retraining) frequent; quiescing before the final
+/// check ensures the oracle also sees the post-rebuild state.
 #[test]
 fn chaos_alt_index_background_retrain() {
     let base = seed_base();

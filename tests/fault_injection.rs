@@ -15,7 +15,10 @@
 
 use alt_index::{AltConfig, AltIndex};
 use failpoint::{FailAction, Trigger};
-use std::sync::{Mutex, MutexGuard, Once, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, Once, PoisonError};
+use std::thread;
+use std::time::Duration;
 use testkit::harness::Scenario;
 
 /// The failpoint registry is process-global: serialize every test here.
@@ -48,8 +51,10 @@ fn quiet_injected_panics() {
 enum Reach {
     /// Both paths: alternate inline / background across seeds.
     Both,
-    /// Background-only (scheduler or phase-2 reconcile).
+    /// Background mode on every seed.
     BackgroundOnly,
+    /// Inline mode on every seed.
+    InlineOnly,
 }
 
 /// Action rotation. `error_channel` sites accept Error/AllocFail
@@ -98,7 +103,11 @@ fn sweep_site(site: &'static str, error_channel: bool, reach: Reach) {
             Scenario::shared(seed)
         };
         scenario.keys_per_thread = 512;
-        let background = reach == Reach::BackgroundOnly || s % 2 == 0;
+        let background = match reach {
+            Reach::Both => s % 2 == 0,
+            Reach::BackgroundOnly => true,
+            Reach::InlineOnly => false,
+        };
         let cfg = AltConfig {
             epsilon: Some(16.0),
             ..if background {
@@ -187,7 +196,10 @@ fn site_retrain_build() {
 
 #[test]
 fn site_retrain_reconcile() {
+    // Both modes run phase 2, and each gets the full seed rotation
+    // (every action, trigger and scenario partition).
     sweep_site("retrain.reconcile", true, Reach::BackgroundOnly);
+    sweep_site("retrain.reconcile", true, Reach::InlineOnly);
 }
 
 #[test]
@@ -332,6 +344,77 @@ fn sustained_worker_kill_trips_degraded_mode_and_recovers() {
         assert_eq!(idx.get(k), Some(k));
     }
     assert_eq!(idx.len(), 2_000 + burst.len() + follow.len());
+}
+
+/// Regression: a writer that escalates while an inline rebuild of its
+/// span sits between phase 1 and phase 2 must not block on `dir_lock`
+/// while holding the model's op-lock read side, or phase 2's write lock
+/// waits on it forever. A zero retry budget turns every optimistic
+/// retry into an escalation, a `retrain.build` delay holds each rebuild
+/// in its off-lock window, and the churning writers race removes and
+/// updates against inserts on the tail model being rebuilt.
+#[test]
+fn escalation_during_inline_build_does_not_deadlock() {
+    let _l = serial();
+    let cfg = AltConfig {
+        epsilon: Some(16.0),
+        contention: resilience::ContentionPolicy {
+            spin_retries: 0,
+            yield_retries: 0,
+            park_retries: 0,
+            ..Default::default()
+        },
+        ..AltConfig::default()
+    };
+    let pairs: Vec<(u64, u64)> = (1..=500u64).map(|i| (i * 1_000, i)).collect();
+    let idx = Arc::new(AltIndex::bulk_load_with(&pairs, cfg));
+    let g = failpoint::install("retrain.build", FailAction::Delay(20), Trigger::Always);
+
+    const APPENDS: u64 = 8_000;
+    let appended = Arc::new(AtomicBool::new(false));
+    let mut workers = Vec::new();
+    {
+        let (idx, appended) = (Arc::clone(&idx), Arc::clone(&appended));
+        workers.push(thread::spawn(move || {
+            for k in 1_000_001..=1_000_000 + APPENDS {
+                idx.insert(k, k).unwrap();
+            }
+            appended.store(true, Ordering::Release);
+        }));
+    }
+    for t in 0..3u64 {
+        let (idx, appended) = (Arc::clone(&idx), Arc::clone(&appended));
+        workers.push(thread::spawn(move || {
+            let keys = [2_000_001, 2_000_002, 2_000_003, 2_000_004];
+            let mut i = t as usize;
+            while !appended.load(Ordering::Acquire) {
+                let k = keys[i % keys.len()];
+                let _ = idx.insert(k, t);
+                let _ = idx.update(k, t + 10);
+                idx.remove(k);
+                idx.remove(k);
+                let _ = idx.update(k, t + 20);
+                i += 1;
+            }
+        }));
+    }
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let panicked = workers.into_iter().any(|w| w.join().is_err());
+        let _ = tx.send(panicked);
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(panicked) => assert!(!panicked, "a workload thread panicked"),
+        Err(_) => panic!("writers and inline rebuild deadlocked (no progress in 60 s)"),
+    }
+    assert!(
+        failpoint::hits("retrain.build") > 0 && idx.retrain_count() > 0,
+        "no rebuild ran its off-lock window — the test is vacuous"
+    );
+    drop(g);
+    for k in (1_000_001..=1_000_000 + APPENDS).step_by(97) {
+        assert_eq!(idx.get(k), Some(k), "lost appended key {k}");
+    }
 }
 
 #[test]
