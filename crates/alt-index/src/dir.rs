@@ -111,7 +111,7 @@ impl ModelDir {
         // The rebuild is private (the new directory isn't published
         // until the caller's RCU swap): an injected panic here unwinds
         // with the old directory still serving.
-        crate::fail_hook::point("dir.replace");
+        failpoint::point!("dir.replace");
         let mut models = Vec::with_capacity(self.models.len() - 1 + replacements.len());
         models.extend_from_slice(&self.models[..i]);
         models.extend(replacements);

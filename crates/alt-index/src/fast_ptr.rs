@@ -148,8 +148,8 @@ impl FastPointerBuffer {
         // graceful failure mode is *de-optimization* — hand back
         // `NO_FAST` (the model walks from the ART root) and count it.
         // Checked before the append lock so a Delay can't hold it.
-        if crate::fail_hook::should_fail("fastptr.install") {
-            crate::metrics_hook::fastptr_deopt();
+        if failpoint::should_fail!("fastptr.install") {
+            obs::incr!(Counter::FastPtrDeopt);
             return NO_FAST;
         }
         // One logical registration, however many times the install loop
@@ -157,7 +157,7 @@ impl FastPointerBuffer {
         // one per `Obsolete` (node-replaced-under-us) retry, overstating
         // the merge scheme's savings in the Fig 10(b) comparison.
         self.unmerged_registrations.fetch_add(1, Ordering::Relaxed);
-        let mut retry = crate::contention::Retry::seeded(k1);
+        let mut retry = resilience::Retry::seeded(k1);
         loop {
             let Some((node, _depth)) = art.lca_node(k1, k2) else {
                 return NO_FAST;
@@ -166,7 +166,7 @@ impl FastPointerBuffer {
             // Widen the gap between LCA resolution and slot installation:
             // a node replacement landing here must drive the Obsolete
             // retry path, never a stale pointer.
-            crate::chaos_hook::point("fastptr.register.locked");
+            testkit::chaos_point!("fastptr.register.locked");
             let idx = self.len.load(Ordering::Acquire);
             let (seg, off) = locate(idx as usize);
             self.ensure_segment(seg);
@@ -180,7 +180,7 @@ impl FastPointerBuffer {
             // because lca_node and this call happen back-to-back — if the
             // node was replaced in between, the version lock inside
             // reports Obsolete and we retry.
-            crate::chaos_hook::point("fastptr.merge.pre_install");
+            testkit::chaos_point!("fastptr.merge.pre_install");
             match unsafe { art.try_set_buffer_slot(node, idx) } {
                 SetSlotResult::Installed => return idx,
                 SetSlotResult::Merged(existing) => {
@@ -196,9 +196,9 @@ impl FastPointerBuffer {
                     // the append lock first — backing off may park, and
                     // other registrations must not wait behind our nap.
                     drop(_g);
-                    crate::metrics_hook::fastptr_register_retry();
-                    if crate::contention::wait_or_escalate(&mut retry) {
-                        crate::metrics_hook::fastptr_deopt();
+                    obs::incr!(Counter::FastPtrRegisterRetry);
+                    if retry.wait_or_escalate_global(crate::count_contention) {
+                        obs::incr!(Counter::FastPtrDeopt);
                         return NO_FAST;
                     }
                     continue;

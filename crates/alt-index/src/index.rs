@@ -140,7 +140,7 @@ pub struct AltCore {
 
 impl AltCore {
     /// Construct the core (shared by every [`AltIndex`] constructor).
-    fn build(
+    pub(crate) fn build(
         pairs: &[(u64, u64)],
         cfg: AltConfig,
         sched: Option<Arc<crate::sched::SchedShared>>,
@@ -163,7 +163,7 @@ impl AltCore {
                 for chunk in conflicts.chunks(shard) {
                     let art = &art;
                     s.spawn(move || {
-                        crate::chaos_hook::point("bulk.par.art");
+                        testkit::chaos_point!("bulk.par.art");
                         for &(k, v) in chunk {
                             art.insert(k, v);
                         }
@@ -269,7 +269,7 @@ impl AltCore {
             while start < n {
                 let end = (start + shard).min(n);
                 s.spawn(move || {
-                    crate::chaos_hook::point("bulk.par.fastptr");
+                    testkit::chaos_point!("bulk.par.fastptr");
                     // Re-pin per worker (epoch guards are thread-local);
                     // the directory cannot be swapped during construction.
                     let guard = epoch::pin();
@@ -312,7 +312,7 @@ impl AltCore {
                     // model's interval so the jump covers it.
                     match unsafe { self.art.get_from(node, key) } {
                         FromResult::Done(v, _) => {
-                            crate::metrics_hook::fastptr_jump_hit();
+                            obs::incr!(Counter::FastPtrJumpHit);
                             return v;
                         }
                         FromResult::Fallback => {}
@@ -321,7 +321,7 @@ impl AltCore {
             }
             // No shortcut, a de-optimized (zeroed) entry, or an obsolete
             // jump node: the Fig 10(b) de-optimization path.
-            crate::metrics_hook::fastptr_deopt();
+            obs::incr!(Counter::FastPtrDeopt);
         }
         self.art.get(key)
     }
@@ -337,14 +337,14 @@ impl AltCore {
                     // SAFETY: as in `art_get`.
                     match unsafe { self.art.insert_from(node, key, value) } {
                         FromResult::Done(ins, _) => {
-                            crate::metrics_hook::fastptr_jump_hit();
+                            obs::incr!(Counter::FastPtrJumpHit);
                             return ins;
                         }
                         FromResult::Fallback => {}
                     }
                 }
             }
-            crate::metrics_hook::fastptr_deopt();
+            obs::incr!(Counter::FastPtrDeopt);
         }
         self.art.insert(key, value)
     }
@@ -359,7 +359,7 @@ impl AltCore {
             return None;
         }
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         loop {
             let dir = self.dir_ref(&guard);
             let m = dir.model_for(key);
@@ -372,10 +372,7 @@ impl AltCore {
                     // means the key cannot exist — unless the model was
                     // concurrently replaced (different predictions).
                     if m.is_retired() {
-                        if crate::contention::wait_or_escalate_with(
-                            &mut retry,
-                            &self.cfg.contention,
-                        ) {
+                        if retry.wait_or_escalate(&self.cfg.contention, crate::count_contention) {
                             return self.get_pessimistic(key);
                         }
                         continue;
@@ -396,10 +393,9 @@ impl AltCore {
                             // The miss is only conclusive if nothing moved
                             // under us.
                             if m.is_retired() || !m.slots.version_unchanged(pred, ver) {
-                                if crate::contention::wait_or_escalate_with(
-                                    &mut retry,
-                                    &self.cfg.contention,
-                                ) {
+                                if retry
+                                    .wait_or_escalate(&self.cfg.contention, crate::count_contention)
+                                {
                                     return self.get_pessimistic(key);
                                 }
                                 continue;
@@ -451,7 +447,7 @@ impl AltCore {
     /// Opportunistic write-back (Algorithm 2 lines 10-13): move an ART
     /// entry into the tombstoned slot it predicts to.
     pub(crate) fn try_write_back(&self, m: &GplModel, pred: usize, key: u64, value: u64) {
-        crate::metrics_hook::write_back_attempt();
+        obs::incr!(Counter::WriteBackAttempt);
         // Never fight a retrain for this optimization.
         let Some(_rl) = m.op_lock.try_read() else {
             return;
@@ -460,7 +456,7 @@ impl AltCore {
             return;
         }
         if m.slots.claim(pred, key, value) == ClaimResult::Written {
-            crate::metrics_hook::write_back_moved();
+            obs::incr!(Counter::WriteBackMoved);
             match self.art.remove(key) {
                 Some(fresh) => {
                     if fresh != value {
@@ -484,7 +480,7 @@ impl AltCore {
             return Err(IndexError::ReservedKey);
         }
         let mut want_retrain = false;
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         let res = loop {
             let guard = epoch::pin();
             let dir = self.dir_ref(&guard);
@@ -497,7 +493,7 @@ impl AltCore {
             // under `dir_lock` stops it. Release the op lock first —
             // see `get_pessimistic` for the lock order.
             drop(rl);
-            if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
+            if retry.wait_or_escalate(&self.cfg.contention, crate::count_contention) {
                 break self.insert_pessimistic(key, value, &mut want_retrain);
             }
         };
@@ -611,13 +607,13 @@ impl AltCore {
             return Err(IndexError::ReservedKey);
         }
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         // Escalation leaves the loop (dropping the iteration's op-lock
         // read guard) before blocking on `dir_lock`: see
         // `get_pessimistic` for the lock order.
         macro_rules! retry_or_escalate {
             () => {
-                if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
+                if retry.wait_or_escalate(&self.cfg.contention, crate::count_contention) {
                     break;
                 }
                 continue;
@@ -705,13 +701,13 @@ impl AltCore {
             return None;
         }
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         // Escalation leaves the loop (dropping the iteration's op-lock
         // read guard) before blocking on `dir_lock`: see
         // `get_pessimistic` for the lock order.
         macro_rules! retry_or_escalate {
             () => {
-                if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
+                if retry.wait_or_escalate(&self.cfg.contention, crate::count_contention) {
                     break;
                 }
                 continue;
@@ -741,7 +737,7 @@ impl AltCore {
                     // this same slot lock first.
                     let removed = m.slots.with_write(pred, |g| match g.state() {
                         SlotState::Occupied { key: k, value } if k == key => {
-                            crate::chaos_hook::point("slots.remove.pre_tombstone");
+                            testkit::chaos_point!("slots.remove.pre_tombstone");
                             g.clear();
                             self.art.remove(key);
                             Some(value)
@@ -796,7 +792,7 @@ impl AltCore {
             let pred = m.predict(key);
             m.slots.with_write(pred, |g| match g.state() {
                 SlotState::Occupied { key: k, value } if k == key => {
-                    crate::chaos_hook::point("slots.remove.pre_tombstone");
+                    testkit::chaos_point!("slots.remove.pre_tombstone");
                     g.clear();
                     self.art.remove(key);
                     Some(value)
@@ -889,7 +885,7 @@ pub(crate) fn segment_and_build_parallel(
             .map(|group| {
                 let segments = &segments;
                 s.spawn(move || {
-                    crate::chaos_hook::point("bulk.par.models");
+                    testkit::chaos_point!("bulk.par.models");
                     let mut models = Vec::with_capacity(group.len());
                     let mut conflicts = Vec::new();
                     for seg in &segments[group] {

@@ -44,14 +44,10 @@
 mod adapt;
 mod api;
 mod batch;
-pub(crate) mod chaos_hook;
 pub mod config;
-pub(crate) mod contention;
 pub mod dir;
-pub(crate) mod fail_hook;
 pub mod fast_ptr;
 pub mod index;
-pub(crate) mod metrics_hook;
 pub mod model;
 pub mod retrain;
 pub mod scan;
@@ -63,3 +59,13 @@ pub mod stats;
 pub use config::{default_build_threads, AltConfig, BgRetrainPolicy, RetrainMode};
 pub use index::{AltCore, AltIndex, FaultStats};
 pub use stats::{AltStats, ArtProbe};
+
+/// Counts this crate's retry-loop contention events: the `note` every
+/// counted [`resilience::Retry`] step here reports to.
+fn count_contention(e: resilience::Event) {
+    match e {
+        resilience::Event::Escalate => obs::incr!(Counter::AltEscalation),
+        resilience::Event::Yield => obs::incr!(Counter::AltBackoffYield),
+        resilience::Event::Park => obs::incr!(Counter::AltBackoffPark),
+    }
+}

@@ -99,14 +99,11 @@ impl AltCore {
         if m.is_retired() || !m.wants_retrain() {
             return;
         }
-        // Priority = the span's overflow pressure (scaled so a span at
-        // exactly its trigger threshold scores 256), boosted by the
-        // process-wide escalation pressure the obs counters record —
-        // spans whose congestion is already forcing pessimistic
-        // fallbacks drain first.
+        // Priority = the span's overflow pressure, scaled so a span at
+        // exactly its trigger threshold scores 256. Equal pressures drain
+        // in enqueue order.
         let overflow = m.art_inserts.load(Ordering::Relaxed) as u64;
-        let pressure = overflow.saturating_mul(256) / m.build_size.max(16) as u64;
-        let priority = pressure.saturating_add(crate::metrics_hook::escalation_pressure());
+        let priority = overflow.saturating_mul(256) / m.build_size.max(16) as u64;
         // Containment: an injected panic at `sched.enqueue` unwinds to
         // here, not into the inserting thread's caller. The request is
         // simply lost — the next overflow insert re-triggers.
@@ -115,7 +112,7 @@ impl AltCore {
         }))
         .is_err()
         {
-            crate::metrics_hook::retrain_bg_dropped();
+            obs::incr!(Counter::RetrainBgDropped);
         }
     }
 
@@ -143,7 +140,7 @@ impl AltCore {
     /// Count one rolled-back (or contained-after-publish) retrain.
     pub(crate) fn count_rollback(&self) {
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_rollback();
+        obs::incr!(Counter::RetrainRollback);
     }
 
     /// Collect the span of `dir.models[mi]`: live slots + the ART range.
@@ -170,7 +167,7 @@ impl AltCore {
             return;
         }
         let Some(dl) = self.dir_lock.try_lock() else {
-            crate::metrics_hook::retrain_skipped_busy();
+            obs::incr!(Counter::RetrainSkippedBusy);
             return;
         };
         self.rebuild(&dl, key_hint);
@@ -216,20 +213,20 @@ impl AltCore {
             return;
         }
         self.retrain_attempts.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_attempt();
+        obs::incr!(Counter::RetrainAttempt);
 
         // Phase 1: snapshot under a short writer stall, then let writers
         // back in for the build.
-        let t_collect = crate::metrics_hook::now_ns();
+        let t_collect = obs::phase_start!();
         let before = {
             let _wl = m.op_lock.write();
             // Injected panic: unwinds through `_wl` and the caller's
             // `dir_lock` guard (both RAII-released) into the caller's
             // `catch_unwind`; nothing has changed yet.
-            crate::fail_hook::point("retrain.collect");
+            failpoint::point!("retrain.collect");
             self.collect_span(dir, mi, m)
         };
-        crate::metrics_hook::retrain_collect_done(t_collect);
+        obs::phase_end!(Phase::RetrainCollect, t_collect);
         if before.merged.is_empty() {
             // Everything in the span was removed; nothing to refactor.
             // The overflow inserts that tripped the trigger are gone with
@@ -238,18 +235,18 @@ impl AltCore {
             // overflow insert straight back here for another futile
             // collect-and-bail pass.
             m.art_inserts.store(0, Ordering::Relaxed);
-            crate::metrics_hook::retrain_empty_span();
+            obs::incr!(Counter::RetrainEmptySpan);
             return;
         }
 
         // Build off the write lock: concurrent inserts/updates/removes
         // proceed against the old layout and are reconciled below.
-        let t_build = crate::metrics_hook::now_ns();
+        let t_build = obs::phase_start!();
         // Fallible build: an injected Error/AllocFail (or, one day, a
         // real fallible-allocation failure) aborts the retrain cleanly
         // before anything shared is touched. `art_inserts` is left high
         // on purpose — the next overflow insert retries (self-healing).
-        if crate::fail_hook::should_fail("retrain.build") {
+        if failpoint::should_fail!("retrain.build") {
             self.count_rollback();
             return;
         }
@@ -269,21 +266,21 @@ impl AltCore {
         // Mutable conflict set: the delta below may add (new collisions)
         // or drop (conflicted keys removed mid-build) entries.
         let mut conflict_map: BTreeMap<u64, u64> = conflicts.into_iter().collect();
-        crate::metrics_hook::retrain_build_done(t_build);
+        obs::phase_end!(Phase::RetrainBuild, t_build);
 
         // Phase 2: writers stalled again for reconcile + publish.
         let _wl = m.op_lock.write();
-        let t_reconcile = crate::metrics_hook::now_ns();
+        let t_reconcile = obs::phase_start!();
         // Fallible reconcile: aborting here discards the private build
         // entirely — the old directory is still published, no shared
         // state was touched, and the write lock releases on return.
-        if crate::fail_hook::should_fail("retrain.reconcile") {
+        if failpoint::should_fail!("retrain.reconcile") {
             self.count_rollback();
             return;
         }
         let after = self.collect_span(dir, mi, m);
         apply_delta(&models, &before.merged, &after.merged, &mut conflict_map);
-        crate::metrics_hook::retrain_reconcile_done(t_reconcile);
+        obs::phase_end!(Phase::RetrainReconcile, t_reconcile);
 
         // Every still-conflicting key must be reachable through ART
         // before the swap so no reader window misses it. (Keys that
@@ -312,10 +309,10 @@ impl AltCore {
         // and miss this swap will re-read it, notice the change, and
         // retry instead of mixing an old slot walk with a post-absorb
         // ART view.
-        let t_swap = crate::metrics_hook::now_ns();
+        let t_swap = obs::phase_start!();
         let new_dir = dir.replace(mi, models);
         self.dir_epoch.fetch_add(1, Ordering::Release);
-        crate::chaos_hook::point("retrain.pre_swap");
+        testkit::chaos_point!("retrain.pre_swap");
         let old = self
             .dir
             .swap(epoch::Owned::new(new_dir), Ordering::AcqRel, &guard);
@@ -330,11 +327,11 @@ impl AltCore {
         unsafe { guard.defer_destroy(old) };
         // Widen the window between directory publication and the retired
         // flag — readers caught here must still find every key.
-        crate::chaos_hook::point("retrain.post_swap");
-        crate::fail_hook::point("retrain.swap");
+        testkit::chaos_point!("retrain.post_swap");
+        failpoint::point!("retrain.swap");
         drop(retire_guard);
-        crate::metrics_hook::retrain_swap_done(t_swap);
-        let t_cleanup = crate::metrics_hook::now_ns();
+        obs::phase_end!(Phase::RetrainSwap, t_swap);
+        let t_cleanup = obs::phase_start!();
 
         // Absorb pass over the *phase-2* ART snapshot: every span key
         // still in ART that the new slots absorbed gets deleted; the
@@ -346,14 +343,14 @@ impl AltCore {
         // span merges them away).
         for &(k, _) in &after.art_pairs {
             if !conflict_map.contains_key(&k) {
-                crate::chaos_hook::point("retrain.absorb_remove");
-                crate::fail_hook::point("retrain.absorb");
+                testkit::chaos_point!("retrain.absorb_remove");
+                failpoint::point!("retrain.absorb");
                 self.art.remove(k);
             }
         }
-        crate::metrics_hook::retrain_cleanup_done(t_cleanup);
+        obs::phase_end!(Phase::RetrainCleanup, t_cleanup);
         self.retrains.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_completed();
+        obs::incr!(Counter::RetrainCompleted);
     }
 }
 

@@ -34,7 +34,7 @@ impl AltCore {
         // Retrain churn can move the directory epoch every pass; once the
         // retry budget runs out, one pass under `dir_lock` (the only
         // place the epoch is bumped) is guaranteed to validate.
-        let mut retry = crate::contention::Retry::seeded(lo);
+        let mut retry = resilience::Retry::seeded(lo);
         let mut dl = None;
         loop {
             learned.clear();
@@ -69,8 +69,8 @@ impl AltCore {
             if self.dir_epoch.load(Ordering::Acquire) == epoch_pre {
                 break;
             }
-            crate::metrics_hook::scan_epoch_retry();
-            if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
+            obs::incr!(Counter::ScanEpochRetry);
+            if retry.wait_or_escalate(&self.cfg.contention, crate::count_contention) {
                 dl = Some(self.dir_lock.lock());
             }
         }
@@ -116,7 +116,7 @@ impl AltCore {
         // to one pass under `dir_lock` when the budget runs out.
         let mut learned: Vec<(u64, u64)> = Vec::with_capacity(n);
         let mut art_side: Vec<(u64, u64)> = Vec::with_capacity(n);
-        let mut retry = crate::contention::Retry::seeded(lo);
+        let mut retry = resilience::Retry::seeded(lo);
         let mut dl = None;
         loop {
             learned.clear();
@@ -147,8 +147,8 @@ impl AltCore {
             if self.dir_epoch.load(Ordering::Acquire) == epoch_pre {
                 break;
             }
-            crate::metrics_hook::scan_epoch_retry();
-            if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
+            obs::incr!(Counter::ScanEpochRetry);
+            if retry.wait_or_escalate(&self.cfg.contention, crate::count_contention) {
                 dl = Some(self.dir_lock.lock());
             }
         }

@@ -4,8 +4,7 @@
 //! In [`RetrainMode::Background`](crate::config::RetrainMode) the
 //! inserting thread no longer pays the §III-F collect/build/swap on the
 //! hot path — it enqueues a request prioritized by the span's observed
-//! overflow pressure (plus the process-wide escalation pressure the
-//! `obs` counters record, when the `metrics` feature is on) and returns.
+//! overflow pressure and returns.
 //! Workers pop the highest-pressure span first, FIFO among ties, and
 //! run [`AltCore::retrain_background`](crate::index::AltCore) —
 //! the same two-phase rebuild inline mode runs, with its build outside
@@ -30,7 +29,7 @@ use std::time::Instant;
 /// One queued retrain request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Request {
-    /// Overflow/escalation pressure at enqueue time; higher drains first.
+    /// Overflow pressure at enqueue time; higher drains first.
     priority: u64,
     /// Enqueue sequence number; lower (older) drains first among equal
     /// priorities.
@@ -151,7 +150,7 @@ impl SchedShared {
         // holding it; an injected Panic unwinds into the caller's
         // containment in `trigger_retrain`). Error/AllocFail shed the
         // request — the next overflow insert simply re-enqueues.
-        if crate::fail_hook::should_fail("sched.enqueue") {
+        if failpoint::should_fail!("sched.enqueue") {
             self.count_dropped();
             return false;
         }
@@ -163,7 +162,7 @@ impl SchedShared {
     /// persistent injection at `sched.enqueue` can't turn one contained
     /// panic into an infinite inject→re-enqueue loop.
     pub(crate) fn enqueue_unchecked(&self, span_key: u64, key_hint: u64, priority: u64) -> bool {
-        crate::chaos_hook::point("retrain.bg.enqueue");
+        testkit::chaos_point!("retrain.bg.enqueue");
         let mut q = self.lock_q();
         if q.shutdown || q.heap.len() >= self.policy.max_queue.max(1) {
             drop(q);
@@ -183,7 +182,7 @@ impl SchedShared {
             key_hint,
             span_key,
         });
-        crate::metrics_hook::retrain_bg_enqueued();
+        obs::incr!(Counter::RetrainBgEnqueued);
         drop(q);
         self.work.notify_one();
         true
@@ -264,7 +263,7 @@ impl SchedShared {
 
     fn count_dropped(&self) {
         self.dropped.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_bg_dropped();
+        obs::incr!(Counter::RetrainBgDropped);
     }
 
     /// Whether the pool is in degraded mode (background scheduling
@@ -278,13 +277,13 @@ impl SchedShared {
     /// mode (at most once per degraded episode).
     fn note_panic(&self) -> bool {
         self.bg_panics.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_bg_panic();
+        obs::incr!(Counter::RetrainBgPanic);
         let streak = self.fail_streak.fetch_add(1, Ordering::Relaxed) + 1;
         if streak >= self.policy.fail_streak_limit.max(1)
             && !self.degraded.swap(true, Ordering::Relaxed)
         {
             self.degraded_entries.fetch_add(1, Ordering::Relaxed);
-            crate::metrics_hook::degraded_entry();
+            obs::incr!(Counter::RetrainDegradedEntry);
             return true;
         }
         false
@@ -370,15 +369,15 @@ pub(crate) fn spawn_workers(shared: Arc<SchedShared>, core: Weak<AltCore>) -> Sc
                         let outcome = {
                             let _in_flight = InFlightGuard(&shared);
                             catch_unwind(AssertUnwindSafe(|| {
-                                crate::chaos_hook::point("retrain.bg.drain");
-                                if crate::fail_hook::should_fail("sched.drain") {
+                                testkit::chaos_point!("retrain.bg.drain");
+                                if failpoint::should_fail!("sched.drain") {
                                     // Injected Error: drop this request
                                     // on the floor; the next overflow
                                     // insert for the span re-enqueues.
                                     shared.count_dropped();
                                     return true;
                                 }
-                                crate::metrics_hook::retrain_bg_drained();
+                                obs::incr!(Counter::RetrainBgDrained);
                                 match core.upgrade() {
                                     Some(core) => {
                                         core.retrain_background(req.key_hint);
@@ -402,7 +401,7 @@ pub(crate) fn spawn_workers(shared: Arc<SchedShared>, core: Weak<AltCore>) -> Sc
                                 // completed or never started).
                                 shared.note_panic();
                                 shared.respawns.fetch_add(1, Ordering::Relaxed);
-                                crate::metrics_hook::worker_respawn();
+                                obs::incr!(Counter::RetrainWorkerRespawn);
                                 if !shared.is_degraded() {
                                     // Give the span another chance — but
                                     // never from inside a degraded
@@ -464,6 +463,41 @@ mod tests {
         // Popping a span frees its dedup slot for re-enqueueing.
         let r = s.pop().unwrap();
         assert!(s.enqueue(r.span_key, r.key_hint, 1));
+    }
+
+    #[cfg(feature = "metrics")]
+    #[test]
+    fn escalations_between_enqueues_keep_fifo_among_equal_pressure() {
+        // The process-wide `alt.escalation` total must stay out of the
+        // priority: it only grows, so a later request would outrank an
+        // earlier one with the same overflow pressure.
+        use crate::config::AltConfig;
+        use crate::index::AltCore;
+        let mut pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
+        pairs.extend((1..=2_000u64).map(|i| (10_000_000 + i * 7, i)));
+        // A queue with no workers: the test drains it itself.
+        let shared = Arc::new(SchedShared::new(policy(16)));
+        let cfg = AltConfig {
+            epsilon: Some(64.0),
+            ..AltConfig::background()
+        };
+        let core = AltCore::build(&pairs, cfg, Some(Arc::clone(&shared)));
+        let guard = crossbeam_epoch::pin();
+        let models = &core.dir_ref(&guard).models;
+        assert!(models.len() >= 2, "the test needs two spans");
+        let (a, b) = (&models[0], &models[models.len() - 1]);
+        for m in [a, b] {
+            // Twice the trigger threshold: both spans score 512.
+            m.art_inserts
+                .store(2 * m.build_size.max(16), Ordering::Relaxed);
+        }
+        core.trigger_retrain(a.first_key);
+        for _ in 0..1_000 {
+            crate::count_contention(resilience::Event::Escalate);
+        }
+        core.trigger_retrain(b.first_key);
+        let order: Vec<u64> = (0..2).map(|_| shared.pop().unwrap().span_key).collect();
+        assert_eq!(order, vec![a.first_key, b.first_key], "FIFO among equals");
     }
 
     #[test]

@@ -126,12 +126,12 @@ impl SlotArray {
     /// it escalates to a locked read, so the snapshot completes even
     /// against a pathological writer schedule.
     pub fn read(&self, i: usize) -> (SlotState, u32) {
-        let mut retry = crate::contention::Retry::seeded(i as u64);
+        let mut retry = resilience::Retry::seeded(i as u64);
         loop {
             let v1 = self.slots[i].version.load(Ordering::Acquire);
             if v1 & 1 == 1 {
-                crate::metrics_hook::slot_read_retry();
-                if crate::contention::wait_or_escalate(&mut retry) {
+                obs::incr!(Counter::SlotReadRetry);
+                if retry.wait_or_escalate_global(crate::count_contention) {
                     return self.read_locked(i);
                 }
                 continue;
@@ -142,24 +142,23 @@ impl SlotArray {
                 if self.slots[i].version.load(Ordering::Acquire) == v1 {
                     return (SlotState::Empty, v1);
                 }
-                crate::metrics_hook::slot_read_retry();
-                if crate::contention::wait_or_escalate(&mut retry) {
+                obs::incr!(Counter::SlotReadRetry);
+                if retry.wait_or_escalate_global(crate::count_contention) {
                     return self.read_locked(i);
                 }
                 continue;
             }
             let key = self.slots[i].key.load(Ordering::Acquire);
-            crate::chaos_hook::point("slots.read.between_loads");
+            testkit::chaos_point!("slots.read.between_loads");
             let value = self.slots[i].value.load(Ordering::Acquire);
-            crate::chaos_hook::point("slots.read.pre_validate");
+            testkit::chaos_point!("slots.read.pre_validate");
             // The mutation self-test deliberately skips this re-validation
             // (chaos-mutate builds only) to prove the harness catches the
             // resulting torn reads.
-            if !crate::chaos_hook::mutate_skip_slot_revalidation()
-                && self.slots[i].version.load(Ordering::Acquire) != v1
+            if !testkit::mutation_enabled!() && self.slots[i].version.load(Ordering::Acquire) != v1
             {
-                crate::metrics_hook::slot_read_retry();
-                if crate::contention::wait_or_escalate(&mut retry) {
+                obs::incr!(Counter::SlotReadRetry);
+                if retry.wait_or_escalate_global(crate::count_contention) {
                     return self.read_locked(i);
                 }
                 continue;
@@ -194,7 +193,7 @@ impl SlotArray {
     /// path's progress guarantee — but it does park past the budget so a
     /// long queue stops burning CPU.
     fn lock(&self, i: usize) -> u32 {
-        let mut retry = crate::contention::Retry::seeded(i as u64);
+        let mut retry = resilience::Retry::seeded(i as u64);
         loop {
             let v = self.slots[i].version.load(Ordering::Acquire);
             if v & 1 == 0
@@ -205,14 +204,14 @@ impl SlotArray {
             {
                 // Stretch the odd-version (writer-in-progress) window so
                 // racing readers actually observe it.
-                crate::chaos_hook::point("slots.lock.held");
+                testkit::chaos_point!("slots.lock.held");
                 return v;
             }
             // Let the testkit perturb lock-acquisition interleavings
             // (who wins a contended CAS), not just the held window.
-            crate::chaos_hook::point("slots.lock.spin");
-            crate::metrics_hook::slot_lock_retry();
-            crate::contention::wait(&mut retry);
+            testkit::chaos_point!("slots.lock.spin");
+            obs::incr!(Counter::SlotLockRetry);
+            retry.wait_for_holder(crate::count_contention);
         }
     }
 
@@ -264,7 +263,7 @@ impl SlotArray {
     pub fn update_if_key(&self, i: usize, key: u64, value: u64) -> bool {
         self.with_write(i, |g| {
             let ok = matches!(g.state(), SlotState::Occupied { key: k, .. } if k == key);
-            crate::chaos_hook::point("slots.update.locked");
+            testkit::chaos_point!("slots.update.locked");
             if ok {
                 g.set_value(value);
             }
@@ -277,7 +276,7 @@ impl SlotArray {
     pub fn remove_if_key(&self, i: usize, key: u64) -> Option<u64> {
         self.with_write(i, |g| match g.state() {
             SlotState::Occupied { key: k, value } if k == key => {
-                crate::chaos_hook::point("slots.remove.pre_tombstone");
+                testkit::chaos_point!("slots.remove.pre_tombstone");
                 g.clear();
                 Some(value)
             }
@@ -352,11 +351,11 @@ impl SlotGuard<'_> {
             // Tombstone reclaim by a *different* key: the window between
             // the two stores is where skipped read-side re-validation
             // leaks the old resident's value.
-            crate::chaos_hook::point("slots.claim.tombstone_write");
+            testkit::chaos_point!("slots.claim.tombstone_write");
             slot.value.store(value, Ordering::Release);
         } else {
             slot.key.store(key, Ordering::Release);
-            crate::chaos_hook::point("slots.claim.mid_write");
+            testkit::chaos_point!("slots.claim.mid_write");
             slot.value.store(value, Ordering::Release);
             self.arr.set_occupied(self.i);
         }

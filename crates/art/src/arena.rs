@@ -102,7 +102,7 @@ impl Class {
     fn alloc(&self, shard_id: usize) -> *mut u8 {
         // Failpoint checked before taking the shard lock (an injected
         // Delay must not sleep while holding it).
-        if crate::fail_hook::should_fail("art.arena.alloc") {
+        if failpoint::fires!("art.arena.alloc") {
             return self.alloc_fallback();
         }
         let mut sh = self.shards[shard_id % SHARDS]
@@ -116,7 +116,7 @@ impl Class {
             // the arena is process-global (see module docs).
             let bytes = self.slot * SLOTS_PER_CHUNK;
             let layout = std::alloc::Layout::from_size_align(bytes, 64).unwrap();
-            let grow_failed = crate::fail_hook::should_fail("art.arena.grow");
+            let grow_failed = failpoint::fires!("art.arena.grow");
             // SAFETY: `layout` has nonzero size.
             let chunk = if grow_failed {
                 std::ptr::null_mut()
@@ -150,7 +150,7 @@ impl Class {
     #[cold]
     fn alloc_fallback(&self) -> *mut u8 {
         ALLOC_FAILS.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::arena_alloc_fail();
+        obs::incr!(Counter::ArenaAllocFail);
         let layout = std::alloc::Layout::from_size_align(self.slot, 64).unwrap();
         // SAFETY: `layout` has nonzero size.
         let p = unsafe { std::alloc::alloc(layout) };

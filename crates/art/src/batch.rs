@@ -43,7 +43,7 @@ pub struct BatchCursor {
     /// current node's version is in hand, exactly like the scalar
     /// descent.
     parent: Option<(NodePtr, Version)>,
-    retry: crate::contention::Retry,
+    retry: resilience::Retry,
 }
 
 /// Outcome of one [`Art::batch_step`].
@@ -75,7 +75,7 @@ impl Art {
             p: root,
             depth: 0,
             parent: None,
-            retry: crate::contention::Retry::seeded(key),
+            retry: resilience::Retry::seeded(key),
         }
     }
 
@@ -106,7 +106,7 @@ impl Art {
             p: start,
             depth: hdr.match_level(),
             parent: None,
-            retry: crate::contention::Retry::seeded(key),
+            retry: resilience::Retry::seeded(key),
         }
     }
 
@@ -120,7 +120,7 @@ impl Art {
     /// pin.
     #[inline]
     pub unsafe fn batch_step(&self, cur: &mut BatchCursor) -> BatchStep {
-        crate::chaos_hook::point("batch.stage");
+        testkit::chaos_point!("batch.stage");
         let p = cur.p;
         if p == 0 {
             return BatchStep::Done(None);
@@ -175,7 +175,7 @@ impl Art {
             return BatchStep::Done(None);
         }
         prefetch_node(child);
-        crate::metrics_hook::batch_prefetch();
+        obs::incr!(Counter::ArtBatchPrefetch);
         cur.parent = Some((p, v));
         cur.p = child;
         cur.depth = depth + 1;
@@ -186,8 +186,8 @@ impl Art {
     /// escalate or restart the descent from the root.
     #[cold]
     fn batch_restart(&self, cur: &mut BatchCursor) -> BatchStep {
-        crate::metrics_hook::batch_restart();
-        if crate::contention::wait_or_escalate(&mut cur.retry) {
+        obs::incr!(Counter::ArtBatchRestart);
+        if cur.retry.wait_or_escalate_global(crate::count_contention) {
             return BatchStep::Escalate;
         }
         let root = self.root.load(Ordering::Acquire);
@@ -209,7 +209,7 @@ impl Art {
             out.len(),
             keys.len()
         );
-        crate::metrics_hook::batch_keys(keys.len());
+        obs::add!(Counter::ArtBatchKeys, keys.len());
         // One pin for the whole batch: every cursor's node pointers stay
         // dereferenceable until the ring drains.
         let _guard = epoch::pin();

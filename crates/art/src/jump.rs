@@ -25,13 +25,13 @@ impl Art {
     /// traversed (the Fig 10(a) "average lookup length" metric).
     pub fn get_with_depth(&self, key: u64) -> (Option<u64>, u32) {
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         loop {
             let root = self.root.load(Ordering::Acquire);
             if let Ok(r) = descend_get(root, key, 0) {
                 return r;
             }
-            if crate::contention::wait_or_escalate(&mut retry) {
+            if retry.wait_or_escalate_global(crate::count_contention) {
                 // Guaranteed-progress fallback: pessimistic descent.
                 let (leafp, hops) = self.pessimistic_leaf(key, &guard);
                 // SAFETY: pinned epoch (see `Art::get_pessimistic`).
@@ -53,36 +53,36 @@ impl Art {
     pub unsafe fn get_from(&self, start: NodePtr, key: u64) -> FromResult<Option<u64>> {
         let _guard = epoch::pin();
         if start == 0 || node::is_leaf(start) {
-            crate::metrics_hook::jump_fallback();
+            obs::incr!(Counter::ArtJumpFallback);
             return FromResult::Fallback;
         }
         let hdr = node::header(start);
         if hdr.version.is_obsolete() {
-            crate::metrics_hook::jump_fallback();
+            obs::incr!(Counter::ArtJumpFallback);
             return FromResult::Fallback;
         }
         // Widen the gap between the obsolete check and the descent — a
         // replacement landing here must still end in Fallback or a valid
         // read, never a torn traversal.
-        crate::chaos_hook::point("jump.get_from.entry");
+        testkit::chaos_point!("jump.get_from.entry");
         let depth = hdr.match_level();
         // Retry locally on version conflicts; fall back if the node dies
         // or the retry budget runs out (the root path has its own
         // guaranteed-progress escalation).
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         loop {
             if hdr.version.is_obsolete() {
-                crate::metrics_hook::jump_fallback();
+                obs::incr!(Counter::ArtJumpFallback);
                 return FromResult::Fallback;
             }
             match descend_get(start, key, depth) {
                 Ok((v, d)) => {
-                    crate::metrics_hook::jump_resume();
+                    obs::incr!(Counter::ArtJumpResume);
                     return FromResult::Done(v, d);
                 }
                 Err(()) => {
-                    if crate::contention::wait_or_escalate(&mut retry) {
-                        crate::metrics_hook::jump_fallback();
+                    if retry.wait_or_escalate_global(crate::count_contention) {
+                        obs::incr!(Counter::ArtJumpFallback);
                         return FromResult::Fallback;
                     }
                 }
@@ -100,17 +100,17 @@ impl Art {
     pub unsafe fn insert_from(&self, start: NodePtr, key: u64, value: u64) -> FromResult<bool> {
         let guard = epoch::pin();
         if start == 0 || node::is_leaf(start) {
-            crate::metrics_hook::jump_fallback();
+            obs::incr!(Counter::ArtJumpFallback);
             return FromResult::Fallback;
         }
         let hdr = node::header(start);
         // Budget the local retries; on exhaustion de-optimize to a root
         // insert (which carries its own escalation discipline).
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         macro_rules! retry_or_fallback {
             () => {{
-                if crate::contention::wait_or_escalate(&mut retry) {
-                    crate::metrics_hook::jump_fallback();
+                if retry.wait_or_escalate_global(crate::count_contention) {
+                    obs::incr!(Counter::ArtJumpFallback);
                     return FromResult::Fallback;
                 }
                 continue;
@@ -118,7 +118,7 @@ impl Art {
         }
         loop {
             if hdr.version.is_obsolete() {
-                crate::metrics_hook::jump_fallback();
+                obs::incr!(Counter::ArtJumpFallback);
                 return FromResult::Fallback;
             }
             // The descend-insert needs the parent when a structural change
@@ -128,7 +128,7 @@ impl Art {
             let v = match hdr.version.read_lock_spin() {
                 Some(v) => v,
                 None => {
-                    crate::metrics_hook::jump_fallback();
+                    obs::incr!(Counter::ArtJumpFallback);
                     return FromResult::Fallback;
                 }
             };
@@ -143,14 +143,14 @@ impl Art {
             }
             if mismatch {
                 if hdr.version.validate(v) {
-                    crate::metrics_hook::jump_fallback();
+                    obs::incr!(Counter::ArtJumpFallback);
                     return FromResult::Fallback;
                 }
                 retry_or_fallback!();
             }
             let disc = depth + plen;
             if disc >= 8 {
-                crate::metrics_hook::jump_fallback();
+                obs::incr!(Counter::ArtJumpFallback);
                 return FromResult::Fallback;
             }
             let b = node::key_byte(key, disc);
@@ -163,12 +163,12 @@ impl Art {
             }
             if child == 0 && full {
                 // Expansion at the jump node needs its parent.
-                crate::metrics_hook::jump_fallback();
+                obs::incr!(Counter::ArtJumpFallback);
                 return FromResult::Fallback;
             }
             match self.descend_insert(start, key, value, false, &guard) {
                 Ok(inserted) => {
-                    crate::metrics_hook::jump_resume();
+                    obs::incr!(Counter::ArtJumpResume);
                     return FromResult::Done(inserted, 0);
                 }
                 Err(()) => retry_or_fallback!(),
@@ -206,10 +206,10 @@ impl Art {
         // Restart budget: exhausting it returns `None`, a pure
         // de-optimization (the caller simply registers no fast pointer
         // for this model boundary and jumps start from the root).
-        let mut retry = crate::contention::Retry::seeded(k1 ^ k2.rotate_left(32));
+        let mut retry = resilience::Retry::seeded(k1 ^ k2.rotate_left(32));
         let mut first = true;
         'restart: loop {
-            if !first && crate::contention::wait_or_escalate(&mut retry) {
+            if !first && retry.wait_or_escalate_global(crate::count_contention) {
                 return None;
             }
             first = false;

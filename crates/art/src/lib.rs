@@ -27,11 +27,7 @@
 mod api;
 pub(crate) mod arena;
 mod batch;
-pub(crate) mod chaos_hook;
-pub(crate) mod contention;
-pub(crate) mod fail_hook;
 mod jump;
-pub(crate) mod metrics_hook;
 // Exposed (unstably) for the scalar-vs-SIMD equivalence suite
 // (tests/simd_equivalence.rs) and the batch_lookup bench; the stable
 // surface is the re-export list below.
@@ -48,3 +44,13 @@ pub use node::{key_byte, key_bytes, NodePtr, NodeType, MAX_PREFIX, NO_SLOT};
 pub use olc::VersionLock;
 pub use stats::ArtStats;
 pub use tree::{Art, FromResult, ReplaceHook, SetSlotResult};
+
+/// Counts this crate's retry-loop contention events: the `note` every
+/// counted [`resilience::Retry`] step here reports to.
+fn count_contention(e: resilience::Event) {
+    match e {
+        resilience::Event::Escalate => obs::incr!(Counter::ArtEscalation),
+        resilience::Event::Yield => obs::incr!(Counter::ArtBackoffYield),
+        resilience::Event::Park => obs::incr!(Counter::ArtBackoffPark),
+    }
+}

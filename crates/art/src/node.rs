@@ -558,12 +558,12 @@ unsafe fn insert_sorted(
     // fail validation anyway) never observe an out-of-bounds index.
     let mut i = cnt;
     while i > pos {
-        crate::chaos_hook::point("node.shift");
+        testkit::chaos_point!("node.shift");
         keys[i].store(keys[i - 1].load(Ordering::Relaxed), Ordering::Release);
         children[i].store(children[i - 1].load(Ordering::Relaxed), Ordering::Release);
         i -= 1;
     }
-    crate::chaos_hook::point("node.shift");
+    testkit::chaos_point!("node.shift");
     keys[pos].store(byte, Ordering::Release);
     children[pos].store(child, Ordering::Release);
 }
@@ -646,7 +646,7 @@ pub unsafe fn remove_child(p: NodePtr, byte: u8) {
             // means a stale positive always resolves through the stale
             // slot, and validation kills it.
             n.index[byte as usize].store(EMPTY48, Ordering::Release);
-            crate::chaos_hook::point("node.shift");
+            testkit::chaos_point!("node.shift");
             n.children[idx as usize].store(0, Ordering::Release);
         }
         NodeType::N256 => {
@@ -670,11 +670,11 @@ unsafe fn remove_sorted(keys: &[AtomicU8], children: &[AtomicUsize], cnt: usize,
     // audit note above `insert_sorted` for why every mid-shift view a
     // doomed optimistic reader can take is memory-safe.
     for i in pos..cnt - 1 {
-        crate::chaos_hook::point("node.shift");
+        testkit::chaos_point!("node.shift");
         keys[i].store(keys[i + 1].load(Ordering::Relaxed), Ordering::Release);
         children[i].store(children[i + 1].load(Ordering::Relaxed), Ordering::Release);
     }
-    crate::chaos_hook::point("node.shift");
+    testkit::chaos_point!("node.shift");
     children[cnt - 1].store(0, Ordering::Release);
 }
 

@@ -49,7 +49,7 @@ impl VersionLock {
         }
         // Widen the snapshot-to-use window: whatever the reader does with
         // this version must survive a writer slipping in right here.
-        crate::chaos_hook::point("olc.read_lock");
+        testkit::chaos_point!("olc.read_lock");
         Some(v)
     }
 
@@ -60,17 +60,17 @@ impl VersionLock {
     /// and past the budget the wait parks instead of burning CPU.
     #[inline]
     pub fn read_lock_spin(&self) -> Option<Version> {
-        let mut retry = crate::contention::Retry::new();
+        let mut retry = resilience::Retry::new();
         loop {
             let v = self.word.load(Ordering::Acquire);
             if v & OBSOLETE_BIT != 0 {
                 return None;
             }
             if v & LOCK_BIT == 0 {
-                crate::chaos_hook::point("olc.read_lock_spin");
+                testkit::chaos_point!("olc.read_lock_spin");
                 return Some(v);
             }
-            crate::contention::wait(&mut retry);
+            retry.wait_for_holder(crate::count_contention);
         }
     }
 
@@ -81,10 +81,10 @@ impl VersionLock {
         // Delay *before* the validating load: reads done since the
         // snapshot stay exposed to concurrent writers a little longer, so
         // a buggy caller that skips re-reads gets caught.
-        crate::chaos_hook::point("olc.validate");
+        testkit::chaos_point!("olc.validate");
         let ok = self.word.load(Ordering::Acquire) == snapshot;
         if !ok {
-            crate::metrics_hook::olc_restart();
+            obs::incr!(Counter::OlcRestart);
         }
         ok
     }
@@ -93,7 +93,7 @@ impl VersionLock {
     /// `false`) if the version moved.
     #[inline]
     pub fn upgrade(&self, snapshot: Version) -> bool {
-        crate::chaos_hook::point("olc.upgrade");
+        testkit::chaos_point!("olc.upgrade");
         self.word
             .compare_exchange(
                 snapshot,
@@ -108,7 +108,7 @@ impl VersionLock {
     /// `false` if the node is obsolete.
     #[inline]
     pub fn lock(&self) -> bool {
-        let mut retry = crate::contention::Retry::new();
+        let mut retry = resilience::Retry::new();
         loop {
             let v = self.word.load(Ordering::Acquire);
             if v & OBSOLETE_BIT != 0 {
@@ -117,7 +117,7 @@ impl VersionLock {
             if v & LOCK_BIT == 0 && self.upgrade(v) {
                 return true;
             }
-            crate::contention::wait(&mut retry);
+            retry.wait_for_holder(crate::count_contention);
         }
     }
 

@@ -149,12 +149,12 @@ impl Art {
     /// Point lookup.
     pub fn get(&self, key: u64) -> Option<u64> {
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         loop {
             match self.get_attempt(key, &guard) {
                 Ok(v) => return v,
                 Err(()) => {
-                    if crate::contention::wait_or_escalate(&mut retry) {
+                    if retry.wait_or_escalate_global(crate::count_contention) {
                         return self.get_pessimistic(key, &guard);
                     }
                 }
@@ -347,7 +347,7 @@ impl Art {
     /// Update an existing key in place. Returns `false` if absent.
     pub fn update(&self, key: u64, value: u64) -> bool {
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         loop {
             match self.get_leaf_attempt(key, &guard) {
                 Ok(Some(leafp)) => {
@@ -359,7 +359,7 @@ impl Art {
                 }
                 Ok(None) => return false,
                 Err(()) => {
-                    if crate::contention::wait_or_escalate(&mut retry) {
+                    if retry.wait_or_escalate_global(crate::count_contention) {
                         // Pessimistic path; the store after the locks are
                         // released linearizes exactly like the optimistic
                         // store after validation.
@@ -442,12 +442,12 @@ impl Art {
         // terminates with probability 1 under any finite write rate. Past
         // the budget the escalation is recorded once and further waits
         // park instead of burning CPU.
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         loop {
             match self.insert_attempt(key, value, overwrite, &guard) {
                 Ok(inserted) => return inserted,
                 Err(()) => {
-                    let _ = crate::contention::wait_or_escalate(&mut retry);
+                    let _ = retry.wait_or_escalate_global(crate::count_contention);
                 }
             }
         }
@@ -894,12 +894,12 @@ impl Art {
         // Structural writer: same no-fallback discipline as
         // `insert_inner` — escalation is recorded once, then parked
         // retries (each restart implies a committed conflicting write).
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         loop {
             match self.remove_attempt(key, &guard) {
                 Ok(r) => return r,
                 Err(()) => {
-                    let _ = crate::contention::wait_or_escalate(&mut retry);
+                    let _ = retry.wait_or_escalate_global(crate::count_contention);
                 }
             }
         }

@@ -464,7 +464,7 @@ impl ConcurrentIndex for AlexLike {
             return None;
         }
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         loop {
             let dir = self.dir.load(&guard);
             let node = &dir.nodes[dir.locate(key)];
@@ -476,14 +476,14 @@ impl ConcurrentIndex for AlexLike {
                 if node.retired.load(Ordering::Acquire) {
                     // Retired ⇒ a split committed; the reload is bounded
                     // by split progress, but charge the budget anyway.
-                    if crate::contention::wait_or_escalate(&mut retry) {
+                    if retry.wait_or_escalate_global(crate::count_contention) {
                         return self.get_locked(key);
                     }
                     continue;
                 }
                 return res;
             }
-            if crate::contention::wait_or_escalate(&mut retry) {
+            if retry.wait_or_escalate_global(crate::count_contention) {
                 return self.get_locked(key);
             }
         }
@@ -501,7 +501,7 @@ impl ConcurrentIndex for AlexLike {
                     continue;
                 }
                 prefetch::prefetch_read_ref(&dir.nodes[dir.locate(k)]);
-                crate::metrics_hook::batch_prefetch();
+                obs::incr!(Counter::BaselineBatchPrefetch);
             }
         });
     }

@@ -66,9 +66,12 @@ impl FModel {
         self.dead[i / 64].load(Ordering::Acquire) >> (i % 64) & 1 == 1
     }
 
+    /// Mark position `i` dead. True only for the call that flipped the
+    /// bit, so of two racing removes exactly one wins.
     #[inline]
-    fn kill(&self, i: usize) {
-        self.dead[i / 64].fetch_or(1 << (i % 64), Ordering::AcqRel);
+    fn kill(&self, i: usize) -> bool {
+        let bit = 1 << (i % 64);
+        self.dead[i / 64].fetch_or(bit, Ordering::AcqRel) & bit == 0
     }
 
     fn find(&self, key: u64) -> Option<usize> {
@@ -214,7 +217,7 @@ impl ConcurrentIndex for FinedexLike {
                     continue;
                 }
                 prefetch::prefetch_read_ref(self.locate(k));
-                crate::metrics_hook::batch_prefetch();
+                obs::incr!(Counter::BaselineBatchPrefetch);
             }
         });
     }
@@ -269,8 +272,7 @@ impl ConcurrentIndex for FinedexLike {
         }
         let m = self.locate(key);
         if let Some(i) = m.find(key) {
-            if !m.is_dead(i) {
-                m.kill(i);
+            if m.kill(i) {
                 self.len.fetch_sub(1, Ordering::Relaxed);
                 return Some(m.vals[i].load(Ordering::Acquire));
             }
@@ -521,6 +523,33 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(f.len(), 40_000 + 24_000);
+    }
+
+    #[test]
+    fn racing_removes_of_one_key_succeed_once() {
+        // Two threads remove the same array-resident keys in lockstep:
+        // each key must be handed out exactly once.
+        use std::sync::{Arc, Barrier};
+        let n = 200_000u64;
+        let pairs: Vec<(u64, u64)> = (1..=n).map(|i| (i * 4, i)).collect();
+        for _ in 0..8 {
+            let f = Arc::new(FinedexLike::build(&pairs));
+            let start = Arc::new(Barrier::new(2));
+            let removed: usize = (0..2)
+                .map(|_| {
+                    let (f, start) = (Arc::clone(&f), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        (1..=n).filter(|i| f.remove(i * 4).is_some()).count()
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .sum();
+            assert_eq!(removed, n as usize, "a key was removed twice");
+            assert_eq!(f.len(), 0);
+        }
     }
 
     #[test]

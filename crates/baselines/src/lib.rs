@@ -31,11 +31,8 @@
 
 pub mod alex;
 pub(crate) mod batch;
-pub(crate) mod chaos_hook;
-pub(crate) mod contention;
 pub mod finedex;
 pub mod lipp;
-pub(crate) mod metrics_hook;
 pub mod rcu;
 pub mod seqlock;
 pub mod xindex;
@@ -44,3 +41,13 @@ pub use alex::AlexLike;
 pub use finedex::FinedexLike;
 pub use lipp::LippLike;
 pub use xindex::XIndexLike;
+
+/// Counts this crate's retry-loop contention events: the `note` every
+/// counted [`resilience::Retry`] step here reports to.
+fn count_contention(e: resilience::Event) {
+    match e {
+        resilience::Event::Escalate => obs::incr!(Counter::BaselineEscalation),
+        resilience::Event::Yield => obs::incr!(Counter::BaselineBackoffYield),
+        resilience::Event::Park => obs::incr!(Counter::BaselineBackoffPark),
+    }
+}

@@ -183,7 +183,7 @@ impl ConcurrentIndex for LippLike {
             return None;
         }
         let mut node = &self.root;
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         let mut escalated = false;
         loop {
             let slot = node.predict(key);
@@ -238,7 +238,7 @@ impl ConcurrentIndex for LippLike {
             }
             // Validation failed: retry the same node, escalating to the
             // write-locked descent once the budget runs out.
-            escalated = crate::contention::wait_or_escalate(&mut retry);
+            escalated = retry.wait_or_escalate_global(crate::count_contention);
         }
     }
 
@@ -253,8 +253,7 @@ impl ConcurrentIndex for LippLike {
                 let slot = self.root.predict(k);
                 prefetch::prefetch_read_ref(&self.root.tags[slot]);
                 prefetch::prefetch_read_ref(&self.root.keys[slot]);
-                crate::metrics_hook::batch_prefetch();
-                crate::metrics_hook::batch_prefetch();
+                obs::add!(Counter::BaselineBatchPrefetch, 2);
             }
         });
     }

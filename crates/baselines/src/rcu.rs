@@ -30,11 +30,11 @@ impl<T> RcuCell<T> {
     /// Publish a new snapshot, retiring the old one. Callers must
     /// serialize replacements externally (e.g. under a structural mutex).
     pub fn replace(&self, value: T, guard: &Guard) {
-        crate::metrics_hook::rcu_replace();
+        obs::incr!(Counter::RcuReplace);
         let old = self.inner.swap(Owned::new(value), Ordering::AcqRel, guard);
         // Widen the window between unlink and retire: readers still
         // holding the old snapshot must be protected by their pins.
-        crate::chaos_hook::point("rcu.replace.unlinked");
+        testkit::chaos_point!("rcu.replace.unlinked");
         // SAFETY: `old` was just unlinked and replacements are serialized,
         // so no other thread can retire it twice; readers hold guards.
         unsafe { guard.defer_destroy(old) };

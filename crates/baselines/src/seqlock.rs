@@ -22,25 +22,25 @@ impl SeqLock {
     /// budget instead of burning CPU.
     #[inline]
     pub fn read_begin(&self) -> u64 {
-        let mut retry = crate::contention::Retry::new();
+        let mut retry = resilience::Retry::new();
         loop {
             let v = self.v.load(Ordering::Acquire);
             if v & 1 == 0 {
-                crate::chaos_hook::point("seqlock.read_begin");
+                testkit::chaos_point!("seqlock.read_begin");
                 return v;
             }
-            crate::metrics_hook::seqlock_read_retry();
-            crate::contention::wait(&mut retry);
+            obs::incr!(Counter::SeqlockReadRetry);
+            retry.wait_for_holder(crate::count_contention);
         }
     }
 
     /// True if nothing was written since the snapshot.
     #[inline]
     pub fn read_validate(&self, snapshot: u64) -> bool {
-        crate::chaos_hook::point("seqlock.read_validate");
+        testkit::chaos_point!("seqlock.read_validate");
         let ok = self.v.load(Ordering::Acquire) == snapshot;
         if !ok {
-            crate::metrics_hook::seqlock_read_retry();
+            obs::incr!(Counter::SeqlockReadRetry);
         }
         ok
     }
@@ -48,7 +48,7 @@ impl SeqLock {
     /// Acquire the write side (tiered backoff while contended).
     #[inline]
     pub fn write_lock(&self) {
-        let mut retry = crate::contention::Retry::new();
+        let mut retry = resilience::Retry::new();
         loop {
             let v = self.v.load(Ordering::Relaxed);
             if v & 1 == 0
@@ -59,10 +59,10 @@ impl SeqLock {
             {
                 // Stretch the odd-version window racing readers must ride
                 // out.
-                crate::chaos_hook::point("seqlock.write_lock.held");
+                testkit::chaos_point!("seqlock.write_lock.held");
                 return;
             }
-            crate::contention::wait(&mut retry);
+            retry.wait_for_holder(crate::count_contention);
         }
     }
 

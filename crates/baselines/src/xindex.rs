@@ -334,7 +334,7 @@ impl ConcurrentIndex for XIndexLike {
                     continue;
                 }
                 prefetch::prefetch_read_ref(&dir.groups[dir.locate(k)]);
-                crate::metrics_hook::batch_prefetch();
+                obs::incr!(Counter::BaselineBatchPrefetch);
             }
         });
     }

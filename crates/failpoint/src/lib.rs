@@ -1,9 +1,11 @@
 //! Deterministic fault injection behind named sites.
 //!
-//! The shape mirrors `testkit::chaos`: instrumented crates call a
-//! per-crate `fail_hook` forwarder that is compiled away entirely unless
-//! their `fault` feature is on, so a default build pays nothing. With the
-//! feature on, every call lands here: an installed **failpoint** decides
+//! The shape mirrors `testkit::chaos`: instrumented crates call the
+//! [`point!`], [`should_fail!`] and [`fires!`] macros, whose expansion
+//! carries `#[cfg(feature = "fault")]`. Rustc evaluates that cfg against
+//! the calling crate, so a crate built without its own `fault` feature
+//! compiles every site to nothing and pays nothing. With the feature on,
+//! every call lands here: an installed **failpoint** decides
 //! — deterministically, per its trigger policy — whether the site fires,
 //! and if so which [`FailAction`] it takes.
 //!
@@ -362,6 +364,50 @@ impl SplitMix64 {
     fn next_below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound.max(1)
     }
+}
+
+/// `failpoint::point!(site)`: a fault-injection site with no error
+/// channel — [`point()`] in a crate built with its `fault` feature,
+/// nothing otherwise. An injected Panic unwinds from here, Delay sleeps,
+/// and Error/AllocFail injections are ignored.
+#[macro_export]
+macro_rules! point {
+    ($site:expr) => {{
+        #[cfg(feature = "fault")]
+        $crate::point($site);
+    }};
+}
+
+/// `failpoint::should_fail!(site)`: a site with a graceful failure
+/// channel. In a crate built with its `fault` feature it is
+/// `eval(site).is_err()`: true when an Error or AllocFail was injected
+/// (the caller aborts cleanly), while an injected Panic unwinds from
+/// here. Otherwise it is `false` and `site` is not evaluated.
+#[macro_export]
+macro_rules! should_fail {
+    ($site:expr) => {{
+        #[cfg(feature = "fault")]
+        let failed = $crate::eval($site).is_err();
+        #[cfg(not(feature = "fault"))]
+        let failed = false;
+        failed
+    }};
+}
+
+/// `failpoint::fires!(site)`: a site that maps **every** injected action,
+/// Panic included, onto its own failure channel. In a crate built with
+/// its `fault` feature it is `fire(site).is_some()` (a Delay sleeps and
+/// reads as `false`); otherwise it is `false` and `site` is not
+/// evaluated.
+#[macro_export]
+macro_rules! fires {
+    ($site:expr) => {{
+        #[cfg(feature = "fault")]
+        let fired = $crate::fire($site).is_some();
+        #[cfg(not(feature = "fault"))]
+        let fired = false;
+        fired
+    }};
 }
 
 #[cfg(test)]

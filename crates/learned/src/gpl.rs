@@ -201,7 +201,7 @@ pub fn gpl_segment_parallel(keys: &[u64], epsilon: f64, threads: usize) -> Vec<S
             .map(|c| {
                 let bounds = &bounds;
                 s.spawn(move || {
-                    crate::chaos_hook::point("gpl.par.chunk");
+                    testkit::chaos_point!("gpl.par.chunk");
                     let mut seg = GplSegmenter::new(epsilon);
                     let mut out = Vec::new();
                     let lo = bounds[c];
@@ -258,7 +258,7 @@ fn stitch_chunks(
             c += 1;
         }
         if let Ok(j) = chunk_segs[c].binary_search_by_key(&i, |s| s.start) {
-            crate::chaos_hook::point("gpl.stitch.splice");
+            testkit::chaos_point!("gpl.stitch.splice");
             if c == last_chunk {
                 out.extend_from_slice(&chunk_segs[c][j..]);
                 return out;
@@ -267,7 +267,7 @@ fn stitch_chunks(
             out.extend_from_slice(&chunk_segs[c][j..withheld]);
             i = chunk_segs[c][withheld].start;
         }
-        crate::chaos_hook::point("gpl.stitch.seam");
+        testkit::chaos_point!("gpl.stitch.seam");
         let mut seg = GplSegmenter::new(epsilon);
         let mut k = i;
         loop {

@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod chaos_hook;
 pub mod gpl;
 pub mod group;
 pub mod linear;

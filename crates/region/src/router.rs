@@ -26,7 +26,7 @@
 //!   `retired` and re-route). Each write therefore executes exactly once
 //!   on a live shard.
 
-use crate::{metrics_hook, RegionConfig};
+use crate::RegionConfig;
 use crossbeam_epoch::{self as epoch, Atomic};
 use index_api::{BulkLoad, ConcurrentIndex, Key, Result, Value};
 use resilience::{Retry, Step};
@@ -166,7 +166,7 @@ impl<I> Inner<I> {
 
     pub(crate) fn note_retry(&self) {
         self.stats.route_retries.fetch_add(1, Ordering::Relaxed);
-        metrics_hook::route_retry();
+        obs::incr!(Counter::RegionRouteRetry);
     }
 }
 

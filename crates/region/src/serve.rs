@@ -30,7 +30,6 @@
 //! degrades by rejecting, not by collapsing: P99.9 of *served* requests
 //! stays bounded by `max_depth` × flush latency.
 
-use crate::metrics_hook;
 use crate::router::lock;
 use index_api::{ConcurrentIndex, Key, Value};
 use resilience::{Retry, Step};
@@ -143,7 +142,7 @@ impl Shared {
         self.stats
             .batched_keys
             .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        metrics_hook::batch_flush();
+        obs::incr!(Counter::RegionBatchFlush);
         let answered = batch.len() as u64;
         for (p, v) in batch.into_iter().zip(out) {
             // A dropped receiver (cancelled caller) is fine.

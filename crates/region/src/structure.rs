@@ -29,7 +29,7 @@
 //! (reusing the left index object), retire both.
 
 use crate::router::{lock, Inner, RouteTable, Shard};
-use crate::{chaos_hook, metrics_hook, MaintenanceReport};
+use crate::MaintenanceReport;
 use crossbeam_epoch::{self as epoch, Owned};
 use index_api::{BulkLoad, ConcurrentIndex, Key, Value};
 use std::sync::atomic::Ordering;
@@ -82,7 +82,7 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> Inner<I> {
         debug_assert!(!shards.is_empty());
         debug_assert_eq!(shards[0].lo, 0);
         debug_assert_eq!(shards.last().expect("nonempty").hi, Key::MAX);
-        chaos_hook::point("region.swap");
+        testkit::chaos_point!("region.swap");
         let guard = epoch::pin();
         let prev = self
             .table
@@ -118,7 +118,7 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> Inner<I> {
             // bound, so no proper sub-range exists.
             return false;
         }
-        chaos_hook::point("region.split");
+        testkit::chaos_point!("region.split");
         let upper: Vec<(Key, Value)> = pairs[mid..].to_vec();
         let b_index = I::bulk_load(&upper);
 
@@ -139,8 +139,8 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> Inner<I> {
         self.stats
             .migrated_keys
             .fetch_add(now.len() as u64, Ordering::Relaxed);
-        metrics_hook::split();
-        metrics_hook::migrated_keys(now.len());
+        obs::incr!(Counter::RegionSplit);
+        obs::add!(Counter::RegionMigratedKeys, now.len());
 
         // Cleanup: drop the migrated upper half from the old index. The
         // keys are unreachable through routing (shard `a` clamps to
@@ -193,8 +193,8 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> Inner<I> {
         self.stats
             .migrated_keys
             .fetch_add(moving.len() as u64, Ordering::Relaxed);
-        metrics_hook::merge();
-        metrics_hook::migrated_keys(moving.len());
+        obs::incr!(Counter::RegionMerge);
+        obs::add!(Counter::RegionMigratedKeys, moving.len());
         true
     }
 

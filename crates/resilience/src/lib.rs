@@ -289,6 +289,33 @@ pub enum Step {
     Escalate,
 }
 
+/// A retry-loop event worth counting, reported by the counted steps
+/// ([`Retry::wait_or_escalate`], [`Retry::wait_or_escalate_global`],
+/// [`Retry::wait_for_holder`]). Each instrumented crate maps the three
+/// onto its own escalation and backoff-tier counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// The first wait in the [`Tier::Yield`] tier.
+    Yield,
+    /// The first wait in the [`Tier::Park`] tier.
+    Park,
+    /// The budget ran out; the caller switches to its fallback.
+    Escalate,
+}
+
+impl WaitStep {
+    /// The tier this wait entered, if it is the first wait in the Yield
+    /// or Park tier (entering Spin is the first retry, not an event).
+    #[inline]
+    fn entered(&self) -> Option<Event> {
+        match (self.transition, self.tier) {
+            (true, Tier::Yield) => Some(Event::Yield),
+            (true, Tier::Park) => Some(Event::Park),
+            _ => None,
+        }
+    }
+}
+
 /// The [`Backoff`] + [`RetryBudget`] pair every call site actually wants,
 /// with lazy policy resolution: the global policy is loaded on the first
 /// `step_global`/`wait_global` call — i.e. on the first *retry* — and
@@ -366,6 +393,57 @@ impl Retry {
     pub fn wait_global(&mut self) -> WaitStep {
         let pol = *self.cached.get_or_insert_with(global);
         self.backoff.wait(&pol)
+    }
+
+    /// Charge one retry against `pol` and report it: returns `true`
+    /// exactly once, when the budget runs out (after
+    /// `note(Event::Escalate)`) — the caller then switches to its
+    /// guaranteed-progress fallback. Otherwise waits one backoff step,
+    /// passing `note` any Yield/Park tier entry, and returns `false`.
+    ///
+    /// Cold and never inlined: first-try successes never get here, and
+    /// the optimistic fast paths that call it stay small.
+    #[cold]
+    #[inline(never)]
+    pub fn wait_or_escalate(&mut self, pol: &ContentionPolicy, note: impl FnOnce(Event)) -> bool {
+        noted(self.step(pol), note)
+    }
+
+    /// [`Retry::wait_or_escalate`] against the process-global policy.
+    #[cold]
+    #[inline(never)]
+    pub fn wait_or_escalate_global(&mut self, note: impl FnOnce(Event)) -> bool {
+        noted(self.step_global(), note)
+    }
+
+    /// Backoff-only wait for loops whose progress is already guaranteed
+    /// by the current holder (lock acquisition): tiers advance and their
+    /// entries go to `note`, but the wait never escalates — there is
+    /// nothing more pessimistic than the lock the caller is queueing
+    /// for. Uses the process-global policy.
+    #[cold]
+    #[inline(never)]
+    pub fn wait_for_holder(&mut self, note: impl FnOnce(Event)) {
+        if let Some(e) = self.wait_global().entered() {
+            note(e);
+        }
+    }
+}
+
+/// Report `step` to `note`; true on escalation.
+#[inline]
+fn noted(step: Step, note: impl FnOnce(Event)) -> bool {
+    match step {
+        Step::Escalate => {
+            note(Event::Escalate);
+            true
+        }
+        Step::Wait(s) => {
+            if let Some(e) = s.entered() {
+                note(e);
+            }
+            false
+        }
     }
 }
 
@@ -529,6 +607,27 @@ mod tests {
                 Step::Escalate => panic!("escalated twice"),
             }
         }
+    }
+
+    #[test]
+    fn counted_steps_report_each_tier_entry_and_one_escalation() {
+        let pol = quick(2, 2, 2, true);
+        let mut r = Retry::seeded(5);
+        let mut events = Vec::new();
+        let escalated: Vec<bool> = (0..9)
+            .map(|_| r.wait_or_escalate(&pol, |e| events.push(e)))
+            .collect();
+        assert_eq!(events, [Event::Yield, Event::Park, Event::Escalate]);
+        assert_eq!(escalated.iter().filter(|&&e| e).count(), 1);
+        assert!(escalated[6], "the seventh charge exhausts a 6-retry budget");
+
+        // A holder wait reports tier entries and never escalates.
+        let mut r = Retry::new();
+        let mut events = Vec::new();
+        for _ in 0..200 {
+            r.wait_for_holder(|e| events.push(e));
+        }
+        assert_eq!(events, [Event::Yield, Event::Park]);
     }
 
     #[test]

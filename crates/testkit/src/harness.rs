@@ -282,6 +282,7 @@ mod tests {
 
     #[test]
     fn disjoint_scenario_passes_on_correct_index() {
+        let _serial = chaos::serialize_schedule_tests();
         let s = Scenario::disjoint(11);
         let idx = LockedMap(Mutex::new(s.initial_pairs().into_iter().collect()));
         s.run(&idx).unwrap();
@@ -289,6 +290,7 @@ mod tests {
 
     #[test]
     fn shared_scenario_passes_on_correct_index() {
+        let _serial = chaos::serialize_schedule_tests();
         let s = Scenario::shared(13);
         let idx = LockedMap(Mutex::new(s.initial_pairs().into_iter().collect()));
         s.run(&idx).unwrap();
@@ -296,6 +298,7 @@ mod tests {
 
     #[test]
     fn batched_scenario_passes_on_correct_index() {
+        let _serial = chaos::serialize_schedule_tests();
         let mut s = Scenario::disjoint(17);
         s.batch_width = 8;
         let idx = LockedMap(Mutex::new(s.initial_pairs().into_iter().collect()));

@@ -3,9 +3,10 @@
 //! Three pieces (see `TESTING.md` at the repository root):
 //!
 //! * [`chaos`] — seeded schedule-perturbing yield/delay points compiled
-//!   into the optimistic hot paths of `alt-index`, `art`, and
-//!   `baselines` behind their `chaos` cargo features. With the feature
-//!   off the hooks are empty inlined functions and vanish from codegen.
+//!   into the optimistic hot paths of `alt-index`, `art`, `baselines`,
+//!   `learned` and `region` through [`chaos_point!`], behind each
+//!   crate's own `chaos` cargo feature. With the feature off the sites
+//!   expand to nothing and vanish from codegen.
 //! * [`oracle`] — per-thread operation-history recording plus quiesce
 //!   validation against a reference model, generic over
 //!   [`index_api::ConcurrentIndex`].
@@ -13,8 +14,9 @@
 //!   the two together: deterministic op scripts per thread, chaos
 //!   perturbation while running, oracle checking at join.
 //! * [`mutation`] — the runtime switch for deliberately-broken protocol
-//!   variants (`chaos-mutate` feature in `alt-index`) used to prove the
-//!   harness actually detects races.
+//!   variants (`chaos-mutate` feature in `alt-index`, read through
+//!   [`mutation_enabled!`]) used to prove the harness actually detects
+//!   races.
 
 #![warn(missing_docs)]
 
@@ -22,6 +24,35 @@ pub mod chaos;
 pub mod harness;
 pub mod mutation;
 pub mod oracle;
+
+/// `testkit::chaos_point!(site)`: a schedule-perturbation point —
+/// [`chaos::point`] in a crate built with its `chaos` feature, nothing
+/// otherwise. The expansion carries `#[cfg(feature = "chaos")]`, which
+/// rustc evaluates against the calling crate, so that crate's own
+/// feature is the only gate and a default build keeps no trace of the
+/// site.
+#[macro_export]
+macro_rules! chaos_point {
+    ($site:expr) => {{
+        #[cfg(feature = "chaos")]
+        $crate::chaos::point($site);
+    }};
+}
+
+/// `testkit::mutation_enabled!()`: whether the deliberately-broken
+/// protocol variant should misbehave right now — [`mutation::is_enabled`]
+/// in a crate built with its `chaos-mutate` feature, `false` (folded
+/// away) otherwise.
+#[macro_export]
+macro_rules! mutation_enabled {
+    () => {{
+        #[cfg(feature = "chaos-mutate")]
+        let on = $crate::mutation::is_enabled();
+        #[cfg(not(feature = "chaos-mutate"))]
+        let on = false;
+        on
+    }};
+}
 
 /// SplitMix64: the deterministic stream every testkit component draws
 /// from. Duplicated from `datasets::rng` so the testkit stays dependency-

@@ -27,7 +27,8 @@ pub fn disable() {
 }
 
 /// Whether mutated code paths should misbehave right now. Instrumented
-/// crates call this through their `chaos-mutate`-gated forwarders.
+/// crates read it through [`crate::mutation_enabled!`], which folds to
+/// `false` unless they are built with `chaos-mutate`.
 #[inline]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Acquire)

@@ -403,9 +403,21 @@ impl<T> Drop for Atomic<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::sync::{MutexGuard, PoisonError};
+
+    /// Serializes the tests that pin. The epoch is process-global and
+    /// the test harness runs tests on parallel threads: a guard pinned in
+    /// one test correctly holds the global epoch back, which would keep
+    /// `deferred_drop_eventually_runs` from ever reaching the epoch that
+    /// frees its garbage.
+    fn serial() -> MutexGuard<'static, ()> {
+        static PINNING_TESTS: Mutex<()> = Mutex::new(());
+        PINNING_TESTS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn pin_unpin_tracks_depth() {
+        let _serial = serial();
         let g1 = pin();
         let g2 = pin();
         drop(g1);
@@ -415,6 +427,7 @@ mod tests {
 
     #[test]
     fn atomic_load_swap_roundtrip() {
+        let _serial = serial();
         let a = Atomic::new(7u64);
         let guard = pin();
         assert_eq!(unsafe { *a.load(Ordering::Acquire, &guard).deref() }, 7);
@@ -443,6 +456,7 @@ mod tests {
 
     #[test]
     fn deferred_drop_eventually_runs() {
+        let _serial = serial();
         struct Flag(Arc<AtomicBool>);
         impl Drop for Flag {
             fn drop(&mut self) {
@@ -474,6 +488,7 @@ mod tests {
 
     #[test]
     fn concurrent_swap_and_read_is_safe() {
+        let _serial = serial();
         let a = Arc::new(Atomic::new(0u64));
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..4)

@@ -235,8 +235,7 @@ fn site_fastptr_install() {
 #[test]
 fn site_arena_alloc() {
     // Arena sites map every action onto the allocation-failure channel
-    // (see crates/art/src/fail_hook.rs), served by the single-slot
-    // fallback.
+    // (see DESIGN.md §16), served by the single-slot fallback.
     sweep_site("art.arena.alloc", true, Reach::Both);
 }
 
